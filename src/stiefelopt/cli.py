@@ -37,7 +37,6 @@ _INSTANCE_DEFAULTS = {
 _SOLVER_KEYS = set(StiefelSolver._PARAM_NAMES)
 _RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 _AGG_COLUMNS = ["nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
-_HISTORY_COLUMNS = ["k", "fval", "nrmg", "tau", "ck", "relx", "relf", "fastpath"]
 
 
 def _fmt(value) -> str:
@@ -145,22 +144,6 @@ def _run_batch(cfg: dict, solver: StiefelSolver, label: str = ""):
     return rows, reports
 
 
-def _history_rows(report):
-    return [
-        {
-            "k": rec.k,
-            "fval": rec.fval,
-            "nrmg": rec.nrmg,
-            "tau": rec.tau,
-            "ck": rec.cval,
-            "relx": rec.relx,
-            "relf": rec.relf,
-            "fastpath": rec.fastpath,
-        }
-        for rec in report.history
-    ]
-
-
 def _print_aggregate(agg_rows, heading: str) -> None:
     print(heading)
     cols = ["stat"] + _AGG_COLUMNS
@@ -183,7 +166,8 @@ def cmd_run(cfg: dict, solver_params: dict) -> int:
     _write_csv(outdir / "runs.csv", _RUN_COLUMNS, rows)
     _write_csv(outdir / "aggregate.csv", ["stat"] + _AGG_COLUMNS, agg)
     if cfg["history"]:
-        _write_csv(outdir / "history.csv", _HISTORY_COLUMNS, _history_rows(reports[0]))
+        history = reports[0].to_dict(include_history=True)["history"]
+        _write_csv(outdir / "history.csv", list(history[0]), history)
     summary = {
         "config": {k: cfg[k] for k in _INSTANCE_DEFAULTS if k != "alphas"},
         "solver_params": solver.get_params(),

@@ -7,15 +7,18 @@ descent candidates are available:
 * ``complement = (I - X X^T) G``    (component of ``G`` orthogonal to span(X))
 
 Both can be written through the skew matrix ``A = G X^T - X G^T``
-(``canonical = A X``), and any mix ``H = alpha*canonical + beta*complement``
+(``A X = canonical``, ``A (I - X X^T) = -X complement^T``), so at a feasible
+``X``, ``||A||_F^2 = ||canonical||_F^2 + ||complement||_F^2``: the solver's
+slope and norms come from the two ``n x p`` parts and never form the
+``n x n`` matrix ``A``.  Any mix ``H = alpha*canonical + beta*complement``
 with ``alpha > 0``, ``beta >= 0`` is a descent direction whose directional
-derivative along the projected curve has the closed form implemented in
-:func:`descent_derivative`.
+derivative along the projected curve is :func:`descent_derivative`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +30,7 @@ __all__ = ["GradientSplit", "gradient_split", "mixed_direction", "descent_deriva
 
 @dataclass(frozen=True)
 class GradientSplit:
-    """The two tangent components of an ambient gradient, plus the skew factor.
+    """The two tangent components of an ambient gradient.
 
     Attributes
     ----------
@@ -37,13 +40,29 @@ class GradientSplit:
     complement : numpy.ndarray, shape (n, p)
         ``(I - X X^T) G``, computed as ``G - X (X^T G)`` so no ``n x n``
         intermediate is formed.
-    skew : numpy.ndarray, shape (n, n)
-        ``A = G X^T - X G^T``; skew-symmetric, and ``canonical = A X``.
+    point, grad
+        The split ``X`` and ``G``, kept only to form :attr:`skew` on demand.
     """
 
     canonical: np.ndarray
     complement: np.ndarray
-    skew: np.ndarray
+    point: StiefelPoint = field(repr=False)
+    grad: np.ndarray = field(repr=False)
+
+    @property
+    def skew(self) -> np.ndarray:
+        """``A = G X^T - X G^T``, skew-symmetric with ``canonical = A X``.
+
+        An ``O(n^2)`` diagnostic built on each access; the solver uses
+        :attr:`skew_norm` instead.
+        """
+        x = self.point.x
+        return self.grad @ x.T - x @ self.grad.T
+
+    @property
+    def skew_norm(self) -> float:
+        """``||A||_F = sqrt(||canonical||_F^2 + ||complement||_F^2)``."""
+        return math.hypot(frobenius_norm(self.canonical), frobenius_norm(self.complement))
 
 
 def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
@@ -54,8 +73,7 @@ def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
     x = point.x
     canonical = g - x @ (g.T @ x)
     complement = g - x @ (x.T @ g)
-    skew = g @ x.T - x @ g.T
-    return GradientSplit(canonical=canonical, complement=complement, skew=skew)
+    return GradientSplit(canonical=canonical, complement=complement, point=point, grad=g)
 
 
 def mixed_direction(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
@@ -77,19 +95,15 @@ def descent_derivative(
     """Directional derivative of the objective along the projected curve.
 
     For ``Z(tau) = proj(X - tau*H)`` with ``H = alpha*canonical +
-    beta*complement``, the derivative at ``tau = 0`` is ``-<G, H>`` and
-    expands to::
+    beta*complement``, the derivative at ``tau = 0`` is ``-<G, H>``, which
+    with ``C`` the canonical and ``P`` the complement part expands to::
 
-        -(alpha/2) ||A||_F^2 - beta ||G||_F^2 + beta ||X^T G||_F^2
+        -(alpha/2) (||C||_F^2 + ||P||_F^2) - beta ||P||_F^2
 
-    which is bounded above by ``-(alpha/2) ||A||_F^2`` (the two beta terms
-    can never be positive in sum, since ``||X^T G||_F <= ||G||_F`` at a
-    feasible ``X``).  Negative whenever ``alpha > 0`` and ``A != 0``.
+    Never positive for ``alpha, beta >= 0``; negative whenever ``alpha > 0``
+    and ``A != 0``, since the bracket is ``||A||_F^2``.
     """
     g = as_matrix(grad, "grad")
     if g.shape != point.shape:
         raise ValueError(f"shape mismatch: {g.shape} vs {point.shape}")
-    skew_sq = frobenius_norm(split.skew) ** 2
-    grad_sq = frobenius_norm(g) ** 2
-    xtg_sq = frobenius_norm(point.x.T @ g) ** 2
-    return -0.5 * alpha * skew_sq - beta * grad_sq + beta * xtg_sq
+    return -0.5 * alpha * split.skew_norm**2 - beta * frobenius_norm(split.complement) ** 2

@@ -33,6 +33,7 @@ from .linalg import (
     householder_reflector,
     random_orthonormal,
 )
+from .solver import kkt_residual
 
 __all__ = [
     "WoppProblem",
@@ -302,15 +303,9 @@ class EnergyProblem:
         return lx + self.mu * y[:, None] * x
 
     def kkt_residual(self, x: np.ndarray) -> float:
-        """``||H(X) X - X (X^T H(X) X)||_F`` with the symmetric multiplier
-        estimate, where ``H(X) = L + mu * Diag(L^{-1} rho(X))``.
-
-        Since ``H(X) X`` is exactly the ambient gradient, this equals the
-        solver's ``nrmg`` residual evaluated on this objective.
-        """
-        x = as_matrix(x, "x")
-        g = self.gradient(x)
-        return float(np.linalg.norm(g - x @ (x.T @ g)))
+        """The solver's stationarity residual :func:`~stiefelopt.solver.kkt_residual`
+        at a feasible ``x``."""
+        return kkt_residual(x, self.gradient(x))
 
     def to_dict(self) -> dict:
         return {

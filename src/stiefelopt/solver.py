@@ -21,7 +21,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .directions import gradient_split
+from .directions import descent_derivative, gradient_split
 from .linalg import as_generator, frobenius_norm, random_orthonormal
 from .linesearch import (
     LineSearchError,
@@ -167,12 +167,13 @@ class SolverReport:
 def kkt_residual(point_or_x, grad) -> float:
     """First-order stationarity residual ``||G - X (G^T X)||_F``.
 
-    Zero exactly at points where the skew factor ``G X^T - X G^T``
-    vanishes; this is the quantity reported as ``nrmg``.
+    The norm of the canonical part of :func:`gradient_split`, which is the
+    quantity reported as ``nrmg``; zero exactly where the skew factor
+    ``G X^T - X G^T`` vanishes.  An array ``x`` must be feasible
+    (:class:`FeasibilityError` otherwise).
     """
-    x = point_or_x.x if isinstance(point_or_x, StiefelPoint) else np.asarray(point_or_x)
-    g = np.asarray(grad)
-    return float(np.linalg.norm(g - x @ (g.T @ x)))
+    point = point_or_x if isinstance(point_or_x, StiefelPoint) else StiefelPoint(point_or_x)
+    return frobenius_norm(gradient_split(point, grad).canonical)
 
 
 def stopping_check(
@@ -437,7 +438,7 @@ class StiefelSolver:
                 relf=math.nan,
                 fastpath=None,
                 feasibility=point.feasibility,
-                skew_norm=frobenius_norm(split.skew),
+                skew_norm=split.skew_norm,
                 nfe=1,
             )
         ]
@@ -456,11 +457,7 @@ class StiefelSolver:
 
         while termination is None:
             direction = self.alpha * split.canonical + self.beta * split.complement
-            slope = (
-                -0.5 * self.alpha * frobenius_norm(split.skew) ** 2
-                - self.beta * frobenius_norm(grad) ** 2
-                + self.beta * frobenius_norm(point.x.T @ grad) ** 2
-            )
+            slope = descent_derivative(point, grad, split, self.alpha, self.beta)
             history[-1].slope = slope
             if not slope < 0:
                 # Only reachable with alpha = 0 at a point where the
@@ -517,7 +514,7 @@ class StiefelSolver:
                     relf=relf,
                     fastpath=ls.used_taylor,
                     feasibility=point.feasibility,
-                    skew_norm=frobenius_norm(split.skew),
+                    skew_norm=split.skew_norm,
                     nfe=ls.nfe,
                 )
             )

@@ -4,6 +4,8 @@ closed-form directional derivative along the projected curve."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stiefelopt import (
     CallableObjective,
@@ -183,3 +185,40 @@ def test_split_and_derivative_validate_shapes():
     split = gradient_split(point, np.ones((4, 2)))
     with pytest.raises(ValueError, match="shape mismatch"):
         descent_derivative(point, np.zeros((3, 2)), split, 1.0, 0.0)
+
+
+# -- properties over random draws ---------------------------------------------------
+
+
+@st.composite
+def _split_cases(draw):
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, n))
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 1.0))
+    assume(alpha + beta > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    return point, rng.standard_normal((n, p)), alpha, beta
+
+
+@settings(deadline=None)
+@given(_split_cases())
+def test_skew_norm_matches_the_skew_factor(case):
+    point, grad, _, _ = case
+    split = gradient_split(point, grad)
+    assert split.skew_norm == pytest.approx(frobenius_norm(split.skew), rel=1e-12)
+
+
+@settings(deadline=None)
+@given(_split_cases())
+def test_descent_derivative_is_never_positive(case):
+    # Includes alpha = 0, where only the complement part descends.
+    point, grad, alpha, beta = case
+    split = gradient_split(point, grad)
+    dd = descent_derivative(point, grad, split, alpha, beta)
+    h = alpha * split.canonical + beta * split.complement
+    assert dd <= 0.0
+    assert dd == pytest.approx(
+        -frobenius_inner(grad, h), abs=1e-10 * max(1.0, frobenius_norm(grad) ** 2)
+    )

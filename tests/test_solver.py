@@ -2,6 +2,7 @@
 invariants, BB trial-step policies, and mode equivalences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ import pytest
 from stiefelopt import (
     CallableObjective,
     EigProblem,
+    EnergyProblem,
     FeasibilityError,
     IterationRecord,
     StiefelPoint,
@@ -318,6 +320,20 @@ def test_solve_is_deterministic_for_fixed_inputs():
             rb.relx,
             rb.relf,
         )
+
+
+def test_iterations_build_no_n_by_n_array():
+    # One n x n float64 array is 32 MB here; the loop's n x p arrays are 160 KB.
+    n, p = 2000, 10
+    problem = EnergyProblem(n, p)
+    x0 = random_orthonormal(n, p, 0)
+    tracemalloc.start()
+    try:
+        StiefelSolver(max_iters=3).solve(problem, x0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 def test_random_start_is_reproducible_from_seed():
