@@ -40,12 +40,17 @@ class GradientSplit:
     complement : numpy.ndarray, shape (n, p)
         ``(I - X X^T) G``, computed as ``G - X (X^T G)`` so no ``n x n``
         intermediate is formed.
+    canonical_norm, complement_norm : float
+        Frobenius norms of the two parts, from which the solver's gradient
+        norm, :attr:`skew_norm` and :func:`descent_derivative` are read.
     point, grad
         The split ``X`` and ``G``, kept only to form :attr:`skew` on demand.
     """
 
     canonical: np.ndarray
     complement: np.ndarray
+    canonical_norm: float
+    complement_norm: float
     point: StiefelPoint = field(repr=False)
     grad: np.ndarray = field(repr=False)
 
@@ -62,18 +67,23 @@ class GradientSplit:
     @property
     def skew_norm(self) -> float:
         """``||A||_F = sqrt(||canonical||_F^2 + ||complement||_F^2)``."""
-        return math.hypot(frobenius_norm(self.canonical), frobenius_norm(self.complement))
+        return math.hypot(self.canonical_norm, self.complement_norm)
 
 
 def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
-    """Split the ambient gradient ``G`` at ``point`` into tangent components."""
+    """Split the ambient gradient ``G`` at ``point`` into tangent components.
+
+    ``grad`` comes from the objective, so this is where it is validated.
+    """
     g = as_matrix(grad, "grad")
     if g.shape != point.shape:
         raise ValueError(f"shape mismatch: {g.shape} vs {point.shape}")
     x = point.x
     canonical = g - x @ (g.T @ x)
     complement = g - x @ (x.T @ g)
-    return GradientSplit(canonical=canonical, complement=complement, point=point, grad=g)
+    return GradientSplit(
+        canonical, complement, frobenius_norm(canonical), frobenius_norm(complement), point, g
+    )
 
 
 def mixed_direction(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
@@ -89,9 +99,7 @@ def mixed_direction(split: GradientSplit, alpha: float, beta: float) -> np.ndarr
     return alpha * split.canonical + beta * split.complement
 
 
-def descent_derivative(
-    point: StiefelPoint, grad, split: GradientSplit, alpha: float, beta: float
-) -> float:
+def descent_derivative(split: GradientSplit, alpha: float, beta: float) -> float:
     """Directional derivative of the objective along the projected curve.
 
     For ``Z(tau) = proj(X - tau*H)`` with ``H = alpha*canonical +
@@ -103,7 +111,4 @@ def descent_derivative(
     Never positive for ``alpha, beta >= 0``; negative whenever ``alpha > 0``
     and ``A != 0``, since the bracket is ``||A||_F^2``.
     """
-    g = as_matrix(grad, "grad")
-    if g.shape != point.shape:
-        raise ValueError(f"shape mismatch: {g.shape} vs {point.shape}")
-    return -0.5 * alpha * split.skew_norm**2 - beta * frobenius_norm(split.complement) ** 2
+    return -0.5 * alpha * split.skew_norm**2 - beta * split.complement_norm**2

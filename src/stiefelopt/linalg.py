@@ -2,9 +2,14 @@
 
 Conventions
 -----------
-* Matrices are ``numpy.float64`` arrays in C (row-major) order.  Every public
-  routine normalizes its inputs through :func:`as_matrix` and never mutates
-  them.
+* Matrices are ``numpy.float64`` arrays in C (row-major) order, and no
+  routine mutates its inputs.
+* Validation happens once, where an array enters from outside:
+  :func:`as_matrix` (2-D, float64, C order, finite) runs on solver and
+  problem inputs, on the objective's gradient, on a retraction's direction
+  and in :func:`thin_svd`.  The arithmetic helpers :func:`frobenius_inner`
+  and :func:`frobenius_norm` check only shapes, so the solve loop does not
+  re-scan the arrays it has built; a NaN input gives a NaN result.
 * Randomness flows through ``numpy.random.Generator`` seeded with PCG64
   (``numpy.random.default_rng``), so a given integer seed reproduces the same
   matrices on every platform for a fixed numpy release.
@@ -72,16 +77,19 @@ def frobenius_inner(a, b) -> float:
 
     Both arguments must have identical shapes.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float((a * b).sum())
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm ``||A||_F = sqrt(<A, A>)``."""
-    return float(np.linalg.norm(as_matrix(a, "a")))
+    """Frobenius norm ``||A||_F = sqrt(<A, A>)`` of a 2-D array."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"a must be 2-D, got ndim={a.ndim}")
+    return float(np.linalg.norm(a))
 
 
 class ThinSVD(NamedTuple):
@@ -135,9 +143,8 @@ def random_orthonormal(n: int, p: int, rng=None) -> np.ndarray:
     if p < 1 or n < p:
         raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
     rng = as_generator(rng)
-    gauss = rng.standard_normal((n, p))
-    u, _, vt = np.linalg.svd(gauss, full_matrices=False)
-    return np.ascontiguousarray(u @ vt)
+    u, _, v = thin_svd(rng.standard_normal((n, p)))
+    return u @ v.T
 
 
 def householder_reflector(v) -> np.ndarray:

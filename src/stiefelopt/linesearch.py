@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import frobenius_inner, frobenius_norm
-from .manifold import RankDeficientError, StiefelPoint, retract
+from .manifold import StiefelPoint, retract
 
 __all__ = [
     "BB_DENOM_TOL",
@@ -119,7 +119,6 @@ def backtrack(
     rho1: float = 1e-4,
     delta: float = 0.3,
     max_halvings: int = 60,
-    max_rank_retries: int = 10,
 ) -> LineSearchResult:
     """Armijo backtracking along ``Z(tau) = proj(X - tau*H)``.
 
@@ -147,9 +146,6 @@ def backtrack(
         Sufficient-decrease coefficient and shrink factor, both in (0, 1).
     max_halvings : int
         Budget of shrinks before giving up.
-    max_rank_retries : int
-        Rank-deficient projections are retried with ``tau`` halved at most
-        this many times (they do not consume objective evaluations).
 
     Raises
     ------
@@ -168,22 +164,9 @@ def backtrack(
     tau = float(tau0)
     nfe = 0
     shrinks = 0
-    rank_retries = 0
     best: LineSearchResult | None = None
     while True:
-        try:
-            candidate, used_taylor = retract(point, direction, tau)
-        except RankDeficientError:
-            rank_retries += 1
-            if rank_retries > max_rank_retries:
-                raise LineSearchError(
-                    f"projection stayed rank deficient after {max_rank_retries} "
-                    "step halvings",
-                    best,
-                    nfe,
-                ) from None
-            tau *= 0.5
-            continue
+        candidate, used_taylor = retract(point, direction, tau)
         f_val = float(objective.value(candidate.x))
         nfe += 1
         if f_val < c_ref + rho1 * tau * slope:

@@ -38,8 +38,8 @@ class FeasibilityError(ValueError):
 
 
 class RankDeficientError(ValueError):
-    """Raised when a matrix has (numerically) fewer than ``p`` independent
-    columns, so the nearest feasible point is not unique."""
+    """Raised by :func:`project` when a matrix's smallest singular value is
+    negligible against its largest, so its polar factor is ill-determined."""
 
 
 def feasibility_error(x) -> float:
@@ -48,9 +48,11 @@ def feasibility_error(x) -> float:
     Parameters
     ----------
     x : array_like, shape (n, p)
-        Tall matrix, ``n >= p``.
+        Tall matrix, ``n >= p``.  A NaN entry gives a NaN result.
     """
-    x = as_matrix(x, "x")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-D, got ndim={x.ndim}")
     n, p = x.shape
     if n < p:
         raise ValueError(f"expected rows >= cols, got shape {x.shape}")
@@ -115,19 +117,18 @@ class StiefelPoint:
 def project(x) -> StiefelPoint:
     """Nearest feasible point ``U V^T`` from the thin SVD ``X = U S V^T``.
 
-    Requires ``X`` to have full column rank; otherwise the minimizer of
-    ``||X - Q||_F`` over feasible ``Q`` is not unique and
-    :class:`RankDeficientError` is raised.  Rank is tested against the
-    relative threshold ``sigma_min > 1e-12 * sigma_max``.
+    Meant for arbitrary input: unless ``sigma_min > 1e-12 * sigma_max``,
+    :class:`RankDeficientError` is raised instead of returning a polar factor
+    fixed by roundoff.  (:func:`retract` does not need this test: at a
+    tangent step its singular values are all at least 1.)
     """
-    x = as_matrix(x, "x")
     u, sigma, v = thin_svd(x)
     sigma_max = float(sigma[0]) if sigma.size else 0.0
     if sigma_max == 0.0 or float(sigma[-1]) <= 1e-12 * sigma_max:
         raise RankDeficientError(
-            "matrix is numerically rank deficient; nearest feasible point "
-            f"is not unique (sigma_min={float(sigma[-1]) if sigma.size else 0.0:.3e}, "
-            f"sigma_max={sigma_max:.3e})"
+            "matrix is numerically rank deficient: sigma_min="
+            f"{float(sigma[-1]) if sigma.size else 0.0:.3e} <= 1e-12 * "
+            f"sigma_max={sigma_max:.3e}"
         )
     return StiefelPoint(u @ v.T)
 
@@ -138,7 +139,7 @@ def is_tangent(point: StiefelPoint, z, tol: float) -> bool:
     Tangency means ``X^T Z + Z^T X = 0``; the test is
     ``||X^T Z + Z^T X||_F <= tol``.
     """
-    z = as_matrix(z, "z")
+    z = np.asarray(z, dtype=np.float64)
     if z.shape != point.shape:
         raise ValueError(f"shape mismatch: {z.shape} vs {point.shape}")
     sym = point.x.T @ z
@@ -152,8 +153,10 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     The quadratic candidate ``X - tau*H - (tau^2/2) * X (H^T H)`` agrees with
     the SVD projection through second order in ``tau``.  When its feasibility
     error is below :data:`TAYLOR_ACCEPT_TOL` it is returned directly and the
-    SVD is skipped; otherwise the exact projection of ``X - tau*H`` is
-    computed.
+    SVD is skipped; otherwise the exact projection, the polar factor
+    ``U V^T`` of ``X - tau*H = U S V^T``, is computed.  For tangent ``H`` the
+    Gram ``(X - tau*H)^T (X - tau*H) = I + tau^2 H^T H`` is at least ``I``,
+    so that factor is unique at every ``tau``.
 
     Parameters
     ----------
@@ -168,12 +171,6 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     -------
     (StiefelPoint, bool)
         The new point and whether the fast path was taken.
-
-    Raises
-    ------
-    RankDeficientError
-        If ``X - tau*H`` loses column rank (only possible for large steps);
-        callers are expected to shrink ``tau`` and retry.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
@@ -193,4 +190,5 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     feas = feasibility_error(candidate)
     if feas < TAYLOR_ACCEPT_TOL:
         return StiefelPoint(candidate, feasibility=feas), True
-    return project(step), False
+    u, _, v = thin_svd(step)
+    return StiefelPoint(u @ v.T), False

@@ -282,11 +282,9 @@ class EnergyProblem:
 
     def row_density(self, x: np.ndarray) -> np.ndarray:
         """``rho(X) = diag(X X^T)``, the vector of squared row norms."""
-        x = as_matrix(x, "x")
         return np.einsum("ij,ij->i", x, x)
 
     def value(self, x: np.ndarray) -> float:
-        x = as_matrix(x, "x")
         lx = self._apply_l(x)
         quad = 0.5 * float(np.sum(x * lx))
         if self.mu == 0.0:
@@ -295,7 +293,6 @@ class EnergyProblem:
         return quad + 0.25 * self.mu * float(rho @ self._solve_l(rho))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = as_matrix(x, "x")
         lx = self._apply_l(x)
         if self.mu == 0.0:
             return lx

@@ -173,7 +173,7 @@ def kkt_residual(point_or_x, grad) -> float:
     (:class:`FeasibilityError` otherwise).
     """
     point = point_or_x if isinstance(point_or_x, StiefelPoint) else StiefelPoint(point_or_x)
-    return frobenius_norm(gradient_split(point, grad).canonical)
+    return gradient_split(point, grad).canonical_norm
 
 
 def stopping_check(
@@ -328,8 +328,8 @@ class StiefelSolver:
 
     # -- estimator-style parameter handling --------------------------------
 
-    def get_params(self, deep: bool = True) -> dict:
-        """Hyperparameters as a dict (``deep`` kept for API compatibility)."""
+    def get_params(self) -> dict:
+        """Hyperparameters as a dict."""
         return {name: getattr(self, name) for name in self._PARAM_NAMES}
 
     def set_params(self, **params) -> "StiefelSolver":
@@ -380,6 +380,10 @@ class StiefelSolver:
 
     # -- main loop ----------------------------------------------------------
 
+    def _mix(self, split) -> np.ndarray:
+        """:func:`mixed_direction`, but admitting the sweep setting ``alpha = 0``."""
+        return self.alpha * split.canonical + self.beta * split.complement
+
     def solve(
         self,
         objective: Objective,
@@ -422,16 +426,14 @@ class StiefelSolver:
 
         start = time.perf_counter()
         f_val = float(objective.value(point.x))
-        grad = objective.gradient(point.x)
         nfe, nge = 1, 1
-        split = gradient_split(point, grad)
-        nrmg = frobenius_norm(split.canonical)
+        split = gradient_split(point, objective.gradient(point.x))
         state = NonmonotoneState(q=1.0, c=f_val)
         history = [
             IterationRecord(
                 k=0,
                 fval=f_val,
-                nrmg=nrmg,
+                nrmg=split.canonical_norm,
                 tau=math.nan,
                 cval=state.c,
                 relx=math.nan,
@@ -454,10 +456,10 @@ class StiefelSolver:
         k = 0
         tau_next = self.tau0
         memory: tuple[np.ndarray, np.ndarray] | None = None
+        direction = self._mix(split)
 
         while termination is None:
-            direction = self.alpha * split.canonical + self.beta * split.complement
-            slope = descent_derivative(point, grad, split, self.alpha, self.beta)
+            slope = descent_derivative(split, self.alpha, self.beta)
             history[-1].slope = slope
             if not slope < 0:
                 # Only reachable with alpha = 0 at a point where the
@@ -487,27 +489,24 @@ class StiefelSolver:
             step_mat = new_point.x - point.x
             relx = frobenius_norm(step_mat) / sqrt_n
             relf = abs(f_val - ls.value) / (abs(f_val) + 1.0)
-            new_grad = objective.gradient(new_point.x)
             nge += 1
-            new_split = gradient_split(new_point, new_grad)
+            new_split = gradient_split(new_point, objective.gradient(new_point.x))
+            new_direction = self._mix(new_split)
             if self.bb_gradient == "canonical":
                 resid = new_split.canonical - split.canonical
             else:
-                resid = (
-                    self.alpha * new_split.canonical + self.beta * new_split.complement
-                ) - direction
+                resid = new_direction - direction
             memory = (step_mat, resid)
             if not monotone:
                 state = nonmonotone_update(state, ls.value, self.eta)
 
             k += 1
-            point, f_val, grad, split = new_point, ls.value, new_grad, new_split
-            nrmg = frobenius_norm(split.canonical)
+            point, f_val, split, direction = new_point, ls.value, new_split, new_direction
             history.append(
                 IterationRecord(
                     k=k,
                     fval=f_val,
-                    nrmg=nrmg,
+                    nrmg=split.canonical_norm,
                     tau=ls.tau,
                     cval=f_val if monotone else state.c,
                     relx=relx,
@@ -549,7 +548,7 @@ class StiefelSolver:
             nge=nge,
             time_s=elapsed,
             fval=f_val,
-            nrmg=nrmg,
+            nrmg=split.canonical_norm,
             feasi=point.feasibility,
             termination=termination,
             x=point.x,

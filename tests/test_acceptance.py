@@ -208,7 +208,7 @@ def test_criterion_03_certified_descent_bound():
             split = gradient_split(point, grad)
             alpha = float(rng.uniform(0.001, 1.0))
             beta = float(rng.uniform(0.0, 1.0))
-            dd = descent_derivative(point, grad, split, alpha, beta)
+            dd = descent_derivative(split, alpha, beta)
             assert dd <= -0.5 * alpha * frobenius_norm(split.skew) ** 2 + 1e-10
             h = mixed_direction(split, alpha, beta)
             tau = 1e-6

@@ -44,9 +44,9 @@ def test_split_hand_values():
     npt.assert_array_equal(split.skew, [[0.0, -4.0], [4.0, 0.0]])
     # ||A||^2 = 32, so the pure-canonical slope is -16; the complement
     # part contributes -(||G||^2 - ||X^T G||^2) = -(25 - 9) = -16 per beta.
-    assert descent_derivative(point, grad, split, 1.0, 0.0) == pytest.approx(-16.0)
-    assert descent_derivative(point, grad, split, 1.0, 1.0) == pytest.approx(-32.0)
-    assert descent_derivative(point, grad, split, 0.5, 0.25) == pytest.approx(-12.0)
+    assert descent_derivative(split, 1.0, 0.0) == pytest.approx(-16.0)
+    assert descent_derivative(split, 1.0, 1.0) == pytest.approx(-32.0)
+    assert descent_derivative(split, 0.5, 0.25) == pytest.approx(-12.0)
 
 
 # -- algebraic structure -------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_descent_derivative_equals_minus_inner_product():
         alpha = float(rng.uniform(0.01, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
         h = mixed_direction(split, alpha, beta)
-        dd = descent_derivative(point, grad, split, alpha, beta)
+        dd = descent_derivative(split, alpha, beta)
         scale = max(1.0, abs(dd))
         assert dd == pytest.approx(-frobenius_inner(grad, h), abs=1e-10 * scale)
 
@@ -147,7 +147,7 @@ def test_descent_derivative_respects_certified_bound():
         split = gradient_split(point, grad)
         alpha = float(rng.uniform(0.01, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
-        dd = descent_derivative(point, grad, split, alpha, beta)
+        dd = descent_derivative(split, alpha, beta)
         bound = -0.5 * alpha * frobenius_norm(split.skew) ** 2
         assert dd <= bound + 1e-10
 
@@ -170,7 +170,7 @@ def test_descent_derivative_matches_finite_difference_along_curve():
         alpha = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
         h = mixed_direction(split, alpha, beta)
-        dd = descent_derivative(point, grad, split, alpha, beta)
+        dd = descent_derivative(split, alpha, beta)
         tau = 1e-6
         forward, _ = retract(point, h, tau)
         backward, _ = retract(point, -h, tau)
@@ -182,9 +182,6 @@ def test_split_and_derivative_validate_shapes():
     point = StiefelPoint(np.eye(4, 2))
     with pytest.raises(ValueError, match="shape mismatch"):
         gradient_split(point, np.zeros((4, 3)))
-    split = gradient_split(point, np.ones((4, 2)))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        descent_derivative(point, np.zeros((3, 2)), split, 1.0, 0.0)
 
 
 # -- properties over random draws ---------------------------------------------------
@@ -216,7 +213,7 @@ def test_descent_derivative_is_never_positive(case):
     # Includes alpha = 0, where only the complement part descends.
     point, grad, alpha, beta = case
     split = gradient_split(point, grad)
-    dd = descent_derivative(point, grad, split, alpha, beta)
+    dd = descent_derivative(split, alpha, beta)
     h = alpha * split.canonical + beta * split.complement
     assert dd <= 0.0
     assert dd == pytest.approx(

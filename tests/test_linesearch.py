@@ -6,11 +6,9 @@ import math
 import numpy as np
 import pytest
 
-import stiefelopt.linesearch
 from stiefelopt import (
     LineSearchError,
     NonmonotoneState,
-    RankDeficientError,
     StiefelPoint,
     backtrack,
     bb_steps,
@@ -19,7 +17,6 @@ from stiefelopt import (
     gradient_split,
     mixed_direction,
     nonmonotone_update,
-    retract,
 )
 
 
@@ -44,7 +41,7 @@ def _circle_quadratic_case():
     grad = np.array([[2.0 * point.x[0, 0]], [6.0 * point.x[1, 0]]])
     split = gradient_split(point, grad)
     direction = mixed_direction(split, 1.0, 0.0)
-    slope = descent_derivative(point, grad, split, 1.0, 0.0)
+    slope = descent_derivative(split, 1.0, 0.0)
     assert slope == pytest.approx(-4.0, abs=1e-12)
     return objective, point, direction, slope
 
@@ -179,38 +176,6 @@ def test_backtrack_exhaustion_carries_best_candidate():
     assert err.best.value == 7.5
     assert err.best.tau == 1.0  # ties keep the first candidate seen
     assert err.best.nfe == 1
-
-
-def test_backtrack_halves_through_rank_deficient_projections(monkeypatch):
-    objective, point, direction, slope = _circle_quadratic_case()
-    calls = {"count": 0}
-
-    def flaky_retract(pnt, h, tau):
-        calls["count"] += 1
-        if calls["count"] <= 2:
-            raise RankDeficientError("synthetic rank failure")
-        return retract(pnt, h, tau)
-
-    monkeypatch.setattr(stiefelopt.linesearch, "retract", flaky_retract)
-    result = backtrack(objective, point, direction, slope, 1.0, c_ref=2.0)
-    # Two rank retries halve tau twice before the first (accepted) evaluation.
-    assert result.tau == pytest.approx(0.25)
-    assert result.nfe == 1
-
-
-def test_backtrack_gives_up_after_rank_retry_budget(monkeypatch):
-    objective, point, direction, slope = _circle_quadratic_case()
-
-    def always_deficient(pnt, h, tau):
-        raise RankDeficientError("synthetic rank failure")
-
-    monkeypatch.setattr(stiefelopt.linesearch, "retract", always_deficient)
-    with pytest.raises(LineSearchError, match="rank deficient") as excinfo:
-        backtrack(
-            objective, point, direction, slope, 1.0, c_ref=2.0, max_rank_retries=3
-        )
-    assert excinfo.value.best is None
-    assert excinfo.value.nfe == 0
 
 
 def test_backtrack_validates_arguments():

@@ -4,6 +4,8 @@ projection, tangency test, and the projected retraction with its fast path."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelopt import (
     FEASIBILITY_TOL,
@@ -191,6 +193,48 @@ def test_retract_fast_and_exact_paths_agree_to_third_order():
 
         ratio = np.log2(gap(1e-3) / gap(5e-4))
         assert 2.5 <= ratio <= 3.5
+
+
+def test_retract_takes_the_polar_factor_at_huge_steps():
+    # X - tau*H has singular values sqrt(1 + tau^2) and 1, so a relative
+    # rank threshold of 1e-12 would call it deficient at tau = 1e13; its
+    # polar factor is still unique and feasible.
+    point = StiefelPoint(np.eye(3, 2))
+    h = np.zeros((3, 2))
+    h[2, 0] = 1.0
+    new, fast = retract(point, h, 1e13)
+    assert not fast
+    npt.assert_allclose(new.x, [[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
+    assert feasibility_error(new.x) <= FEASIBILITY_TOL
+
+
+@st.composite
+def _tangent_steps(draw):
+    """A point, a tangent direction (full rank or of rank ``r < p``) and a
+    log-uniform step in [1e-8, 1e15]."""
+    n = draw(st.integers(1, 10))
+    p = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    rank = draw(st.integers(0, p))
+    if rank == p:
+        h = _random_tangent(point, rng)
+    else:  # complement-only direction (I - X X^T) K with rank(K) = rank
+        k = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        h = k - point.x @ (point.x.T @ k)
+    # Exponents come from the seeded stream: hypothesis's own floats favour
+    # simple values and would rarely reach the large steps.
+    h *= 10.0 ** rng.uniform(-3.0, 3.0)
+    return point, h, 10.0 ** rng.uniform(-8.0, 15.0)
+
+
+@settings(deadline=None)
+@given(_tangent_steps())
+def test_retract_always_returns_a_certified_point(case):
+    point, h, tau = case
+    new, _ = retract(point, h, tau)
+    assert new.shape == point.shape
+    assert feasibility_error(new.x) <= FEASIBILITY_TOL
 
 
 def test_retract_validates_inputs():

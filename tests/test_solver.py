@@ -2,12 +2,14 @@
 invariants, BB trial-step policies, and mode equivalences."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import stiefelopt.linalg
 from stiefelopt import (
     CallableObjective,
     EigProblem,
@@ -334,6 +336,27 @@ def test_iterations_build_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+def test_iterations_validate_arrays_a_bounded_number_of_times(monkeypatch):
+    # Arrays are validated where they enter (the objective's gradient, the
+    # retraction's direction, each new StiefelPoint), not again by every
+    # helper the loop passes its own arrays to.
+    original = stiefelopt.linalg.as_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    problem = EnergyProblem(200, 5)
+    x0 = random_orthonormal(200, 5, 0)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stiefelopt" and getattr(module, "as_matrix", None) is original:
+            monkeypatch.setattr(module, "as_matrix", counting)
+    report = StiefelSolver(max_iters=5).solve(problem, x0)
+    assert report.nitr == 5
+    assert len(calls) <= 6 * report.nitr
 
 
 def test_random_start_is_reproducible_from_seed():
