@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .linalg import as_generator, random_orthonormal
@@ -34,7 +35,7 @@ _INSTANCE_DEFAULTS = {
     "alphas": [0.0, 0.5, 1.0],
 }
 
-_SOLVER_KEYS = set(StiefelSolver._PARAM_NAMES)
+_SOLVER_KEYS = {f.name for f in fields(StiefelSolver)}
 _RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 _AGG_COLUMNS = ["nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 
@@ -324,6 +325,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
         flag = getattr(args, key, None)
         if flag is not None:
             solver_params[key] = flag
+    if not (isinstance(cfg["sims"], int) and cfg["sims"] >= 1):
+        raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
     return cfg, solver_params
 
 

@@ -6,16 +6,19 @@ gradient, ``tau_k`` comes from Armijo backtracking seeded either with a fixed
 step or with alternating Barzilai-Borwein trial steps, and acceptance is
 tested against a monotone or averaged non-monotone reference value.
 
-The class follows estimator conventions: hyperparameters are stored verbatim
-by ``__init__`` and validated when :meth:`StiefelSolver.solve` runs, and
-``get_params``/``set_params`` round-trip the configuration.
+The class follows estimator conventions: it is a dataclass whose fields are
+its hyperparameters, stored verbatim by the generated ``__init__`` and
+validated when :meth:`StiefelSolver.solve` runs; ``get_params``/``set_params``
+read the same fields and round-trip the configuration.  Likewise the fields of
+:class:`IterationRecord` are the history schema: ``SolverReport.to_dict`` and
+the CLI's ``history.csv`` take their columns from them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
@@ -134,33 +137,21 @@ class SolverReport:
         return self.termination in _SUCCESS
 
     def to_dict(self, include_history: bool = False) -> dict:
-        """Plain-types summary (suitable for JSON)."""
+        """Plain-types summary (suitable for JSON).
+
+        The scalar fields (every field but ``x`` and ``history``), with
+        ``termination`` as its string, plus ``converged``.  With
+        ``include_history`` the ``history`` key holds one dict per
+        :class:`IterationRecord`, keyed by its field names in declaration
+        order; ``history.csv`` writes these rows as they are.
+        """
         out = {
-            "name": self.name,
-            "nitr": self.nitr,
-            "nfe": self.nfe,
-            "nge": self.nge,
-            "time_s": self.time_s,
-            "fval": self.fval,
-            "nrmg": self.nrmg,
-            "feasi": self.feasi,
-            "termination": str(self.termination),
-            "converged": self.converged,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("x", "history")
         }
+        out["termination"] = str(self.termination)
+        out["converged"] = self.converged
         if include_history:
-            out["history"] = [
-                {
-                    "k": r.k,
-                    "fval": r.fval,
-                    "nrmg": r.nrmg,
-                    "tau": r.tau,
-                    "ck": r.cval,
-                    "relx": r.relx,
-                    "relf": r.relf,
-                    "fastpath": r.fastpath,
-                }
-                for r in self.history
-            ]
+            out["history"] = [asdict(r) for r in self.history]
         return out
 
 
@@ -213,6 +204,7 @@ def stopping_check(
     return None
 
 
+@dataclass(eq=False)
 class StiefelSolver:
     """Feasible descent with monotone or non-monotone Armijo acceptance.
 
@@ -265,80 +257,37 @@ class StiefelSolver:
     >>> report.converged, report.fval              # doctest: +SKIP
     """
 
-    _PARAM_NAMES = (
-        "alpha",
-        "beta",
-        "mode",
-        "epsilon",
-        "tolx",
-        "tolf",
-        "window",
-        "max_iters",
-        "delta",
-        "rho1",
-        "tau_min",
-        "tau_max",
-        "eta",
-        "tau0",
-        "bb_mode",
-        "step_init",
-        "bb_gradient",
-        "max_halvings",
-    )
-
-    def __init__(
-        self,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-        mode: str = "nonmonotone",
-        epsilon: float = 1e-4,
-        tolx: float = 1e-6,
-        tolf: float = 1e-12,
-        window: int = 5,
-        max_iters: int = 1000,
-        delta: float = 0.3,
-        rho1: float = 1e-4,
-        tau_min: float = 1e-20,
-        tau_max: float = 1e20,
-        eta: float = 0.85,
-        tau0: float = 1e-3,
-        bb_mode: str = "alternate",
-        step_init: str = "auto",
-        bb_gradient: str = "canonical",
-        max_halvings: int = 60,
-    ):
-        self.alpha = alpha
-        self.beta = beta
-        self.mode = mode
-        self.epsilon = epsilon
-        self.tolx = tolx
-        self.tolf = tolf
-        self.window = window
-        self.max_iters = max_iters
-        self.delta = delta
-        self.rho1 = rho1
-        self.tau_min = tau_min
-        self.tau_max = tau_max
-        self.eta = eta
-        self.tau0 = tau0
-        self.bb_mode = bb_mode
-        self.step_init = step_init
-        self.bb_gradient = bb_gradient
-        self.max_halvings = max_halvings
+    alpha: float = 1.0
+    beta: float = 0.0
+    mode: str = "nonmonotone"
+    epsilon: float = 1e-4
+    tolx: float = 1e-6
+    tolf: float = 1e-12
+    window: int = 5
+    max_iters: int = 1000
+    delta: float = 0.3
+    rho1: float = 1e-4
+    tau_min: float = 1e-20
+    tau_max: float = 1e20
+    eta: float = 0.85
+    tau0: float = 1e-3
+    bb_mode: str = "alternate"
+    step_init: str = "auto"
+    bb_gradient: str = "canonical"
+    max_halvings: int = 60
 
     # -- estimator-style parameter handling --------------------------------
 
     def get_params(self) -> dict:
         """Hyperparameters as a dict."""
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "StiefelSolver":
         """Update hyperparameters in place; unknown names raise."""
+        names = {f.name for f in fields(self)}
         for name, value in params.items():
-            if name not in self._PARAM_NAMES:
-                raise ValueError(
-                    f"unknown parameter {name!r}; valid: {sorted(self._PARAM_NAMES)}"
-                )
+            if name not in names:
+                raise ValueError(f"unknown parameter {name!r}; valid: {sorted(names)}")
             setattr(self, name, value)
         return self
 
@@ -428,37 +377,56 @@ class StiefelSolver:
         f_val = float(objective.value(point.x))
         nfe, nge = 1, 1
         split = gradient_split(point, objective.gradient(point.x))
-        state = NonmonotoneState(q=1.0, c=f_val)
-        history = [
-            IterationRecord(
-                k=0,
-                fval=f_val,
-                nrmg=split.canonical_norm,
-                tau=math.nan,
-                cval=state.c,
-                relx=math.nan,
-                relf=math.nan,
-                fastpath=None,
-                feasibility=point.feasibility,
-                skew_norm=split.skew_norm,
-                nfe=1,
-            )
-        ]
-
-        termination = stopping_check(
-            history,
-            epsilon=self.epsilon,
-            tolx=self.tolx,
-            tolf=self.tolf,
-            window=self.window,
-            max_iters=self.max_iters,
-        )
-        k = 0
-        tau_next = self.tau0
-        memory: tuple[np.ndarray, np.ndarray] | None = None
         direction = self._mix(split)
+        state = NonmonotoneState(q=1.0, c=f_val)
+        history: list[IterationRecord] = []
+        k = 0
+        # The transition into X_k; row 0 has none but the first evaluation.
+        tau, relx, relf, fastpath, step_nfe = math.nan, math.nan, math.nan, None, 1
 
-        while termination is None:
+        while True:
+            history.append(
+                IterationRecord(
+                    k=k,
+                    fval=f_val,
+                    nrmg=split.canonical_norm,
+                    tau=tau,
+                    cval=f_val if monotone else state.c,
+                    relx=relx,
+                    relf=relf,
+                    fastpath=fastpath,
+                    feasibility=point.feasibility,
+                    skew_norm=split.skew_norm,
+                    nfe=step_nfe,
+                )
+            )
+            if k > 0 and callback is not None:
+                callback(k, point.x)
+            termination = stopping_check(
+                history,
+                epsilon=self.epsilon,
+                tolx=self.tolx,
+                tolf=self.tolf,
+                window=self.window,
+                max_iters=self.max_iters,
+            )
+            if termination is not None:
+                break
+
+            # The BB pair (step_mat, resid) of the step into X_k exists from
+            # X_1 on; it is used only once the stopping rules let the solve go on.
+            if use_bb and k > 0:
+                bb1, bb2 = bb_steps(step_mat, resid)
+                if self.bb_mode == "bb1":
+                    raw = bb1
+                elif self.bb_mode == "bb2":
+                    raw = bb2
+                else:  # alternate on the memory index (k-1)
+                    raw = bb1 if (k - 1) % 2 == 0 else bb2
+                tau_next = clamp_step(raw, self.tau_min, self.tau_max)
+            else:
+                tau_next = self.tau0
+
             slope = descent_derivative(split, self.alpha, self.beta)
             history[-1].slope = slope
             if not slope < 0:
@@ -496,50 +464,12 @@ class StiefelSolver:
                 resid = new_split.canonical - split.canonical
             else:
                 resid = new_direction - direction
-            memory = (step_mat, resid)
             if not monotone:
                 state = nonmonotone_update(state, ls.value, self.eta)
 
             k += 1
             point, f_val, split, direction = new_point, ls.value, new_split, new_direction
-            history.append(
-                IterationRecord(
-                    k=k,
-                    fval=f_val,
-                    nrmg=split.canonical_norm,
-                    tau=ls.tau,
-                    cval=f_val if monotone else state.c,
-                    relx=relx,
-                    relf=relf,
-                    fastpath=ls.used_taylor,
-                    feasibility=point.feasibility,
-                    skew_norm=split.skew_norm,
-                    nfe=ls.nfe,
-                )
-            )
-            if callback is not None:
-                callback(k, point.x)
-
-            termination = stopping_check(
-                history,
-                epsilon=self.epsilon,
-                tolx=self.tolx,
-                tolf=self.tolf,
-                window=self.window,
-                max_iters=self.max_iters,
-            )
-            if termination is None:
-                if use_bb and memory is not None:
-                    bb1, bb2 = bb_steps(*memory)
-                    if self.bb_mode == "bb1":
-                        raw = bb1
-                    elif self.bb_mode == "bb2":
-                        raw = bb2
-                    else:  # alternate on the memory index (k-1)
-                        raw = bb1 if (k - 1) % 2 == 0 else bb2
-                    tau_next = clamp_step(raw, self.tau_min, self.tau_max)
-                else:
-                    tau_next = self.tau0
+            tau, fastpath, step_nfe = ls.tau, ls.used_taylor, ls.nfe
 
         elapsed = time.perf_counter() - start
         return SolverReport(

@@ -89,7 +89,10 @@ def test_run_is_reproducible_except_for_timing(tmp_path):
 def test_run_history_table(tmp_path):
     assert main(_run_args(tmp_path, "--history")) == 0
     header, rows = _read_csv(tmp_path / "out" / "history.csv")
-    assert header == ["k", "fval", "nrmg", "tau", "ck", "relx", "relf", "fastpath"]
+    assert header == [
+        "k", "fval", "nrmg", "tau", "cval", "relx", "relf", "fastpath",
+        "feasibility", "skew_norm", "slope", "nfe",
+    ]
     assert rows[0][0] == "0"
     # Row 0 has no incoming step: tau/relx/relf/fastpath are blank.
     assert rows[0][3] == "" and rows[0][5] == "" and rows[0][7] == ""
@@ -214,6 +217,18 @@ def test_unknown_config_key_is_an_error(tmp_path):
     cfg_path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(SystemExit, match="unknown config key"):
         main(["run", "--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize("sims", [0, -2])
+def test_sims_below_one_is_an_error(tmp_path, sims):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="sims"):
+        main(_run_args(tmp_path, "--sims", str(sims)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sims": sims}))
+    with pytest.raises(SystemExit, match="sims"):
+        main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert not out.exists()  # rejected before any output is made
 
 
 def test_unreadable_config_is_an_error(tmp_path):

@@ -1,6 +1,7 @@
 """Solver loop: defaults, parameter validation, stopping rules, history
 invariants, BB trial-step policies, and mode equivalences."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import stiefelopt.linalg
+import stiefelopt.solver
 from stiefelopt import (
     CallableObjective,
     EigProblem,
@@ -252,7 +254,9 @@ def test_solve_report_bookkeeping():
     assert "history" not in data
     rows = report.to_dict(include_history=True)["history"]
     assert len(rows) == report.nitr + 1
-    assert rows[0]["ck"] == report.history[0].cval
+    assert rows[0]["cval"] == report.history[0].cval
+    for k, row in enumerate(rows):
+        assert row == dataclasses.asdict(report.history[k])
 
 
 def test_history_invariants_nonmonotone():
@@ -357,6 +361,28 @@ def test_iterations_validate_arrays_a_bounded_number_of_times(monkeypatch):
     report = StiefelSolver(max_iters=5).solve(problem, x0)
     assert report.nitr == 5
     assert len(calls) <= 6 * report.nitr
+
+
+def test_loop_shape_stopping_bb_and_callback(monkeypatch):
+    # The stopping rules see every row, X_0 included; a BB step is formed
+    # only for a step the solve goes on to take, so none leaves X_0 (fixed
+    # tau0) and none leaves the final iterate.
+    calls = {"bb_steps": 0, "stopping_check": 0}
+    for name in calls:
+        original = getattr(stiefelopt.solver, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stiefelopt.solver, name, counting)
+    problem, x0 = _small_wopp(seed=5)
+    seen = []
+    report = StiefelSolver().solve(problem, x0, callback=lambda k, x: seen.append((k, x.copy())))
+    assert report.converged and report.nitr >= 3
+    assert calls == {"bb_steps": report.nitr - 1, "stopping_check": report.nitr + 1}
+    assert [k for k, _ in seen] == list(range(1, report.nitr + 1))
+    npt.assert_array_equal(seen[-1][1], report.x)
 
 
 def test_random_start_is_reproducible_from_seed():
