@@ -29,7 +29,7 @@ FEASIBILITY_TOL = 1e-12
 
 #: Acceptance threshold for the quadratic fast path in :func:`retract`.
 #: Fixed by design, not a tunable: candidates above it fall back to the
-#: SVD projection.
+#: exact projection, the closed-form polar factor.
 TAYLOR_ACCEPT_TOL = 1e-13
 
 
@@ -151,12 +151,16 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     """Feasible curve step ``Z(tau) = proj(X - tau * H)`` with a cheap fast path.
 
     The quadratic candidate ``X - tau*H - (tau^2/2) * X (H^T H)`` agrees with
-    the SVD projection through second order in ``tau``.  When its feasibility
-    error is below :data:`TAYLOR_ACCEPT_TOL` it is returned directly and the
-    SVD is skipped; otherwise the exact projection, the polar factor
-    ``U V^T`` of ``X - tau*H = U S V^T``, is computed.  For tangent ``H`` the
-    Gram ``(X - tau*H)^T (X - tau*H) = I + tau^2 H^T H`` is at least ``I``,
-    so that factor is unique at every ``tau``.
+    the projection through second order in ``tau``.  When its feasibility
+    error is below :data:`TAYLOR_ACCEPT_TOL` it is returned directly;
+    otherwise the exact projection, the polar factor of ``X - tau*H``, is
+    computed.  For tangent ``H`` the Gram ``(X - tau*H)^T (X - tau*H) =
+    I + tau^2 H^T H`` is at least ``I``, so that factor is unique at every
+    ``tau``, and with ``H^T H = V diag(lam) V^T`` it has the closed form
+    ``(X - tau*H) V diag((1 + tau^2 lam)^(-1/2)) V^T``: one ``p x p``
+    symmetric eigendecomposition and O(n p^2) products, no SVD.  The thin
+    SVD of ``X - tau*H`` is kept as a rescue for when the closed form misses
+    :data:`FEASIBILITY_TOL`, which takes ``tau*||H||`` of 1e6 or more.
 
     Parameters
     ----------
@@ -186,9 +190,32 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
         return point, True
     x = point.x
     step = x - tau * h
-    candidate = step - (0.5 * tau * tau) * (x @ (h.T @ h))
+    hth = h.T @ h
+    candidate = step - (0.5 * tau * tau) * (x @ hth)
     feas = feasibility_error(candidate)
     if feas < TAYLOR_ACCEPT_TOL:
         return StiefelPoint(candidate, feasibility=feas), True
+    # (X - tau*H)^T (X - tau*H) = I + tau^2 H^T H, so the eigenvectors V of
+    # H^T H are right singular vectors of the step and its polar factor is
+    # (step V) diag(1/sigma) V^T.  sigma is read off the columns of step V,
+    # not taken as sqrt(1 + tau^2 lam): the rounding in a small lam is
+    # amplified by tau^2 and spoils the small singular values.
+    _, v = np.linalg.eigh(hth)
+    b = step @ v
+    sigma = np.linalg.norm(b, axis=0)
+    w = b / sigma
+    # First-order polar correction of the roundoff in W^T W = I + E:
+    # C = I - E o [sigma_i / (sigma_i + sigma_j)] puts each orthogonality
+    # error on the column with the smaller singular value, as the SVD does.
+    # With equal sigmas it is one Newton-Schulz step W (3I - W^T W) / 2.
+    # Without it the feasibility error of each iterate carries into the next.
+    eye = np.eye(sigma.size)
+    c = eye - (w.T @ w - eye) * (sigma[:, None] / (sigma[:, None] + sigma))
+    polar = w @ (c @ v.T)
+    feas = feasibility_error(polar)
+    if feas <= FEASIBILITY_TOL:
+        return StiefelPoint(polar, feasibility=feas), False
+    # Certified rescue: at tau*||H|| beyond about 1e9 (1e6 for a rank-deficient
+    # H) the eigenvectors are not accurate enough for the certificate.
     u, _, v = thin_svd(step)
     return StiefelPoint(u @ v.T), False

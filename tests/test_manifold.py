@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stiefelopt.manifold
 from stiefelopt import (
     FEASIBILITY_TOL,
     TAYLOR_ACCEPT_TOL,
@@ -19,6 +20,7 @@ from stiefelopt import (
     random_orthonormal,
     retract,
 )
+from stiefelopt.linalg import thin_svd
 
 
 def _random_tangent(point: StiefelPoint, rng) -> np.ndarray:
@@ -235,6 +237,76 @@ def test_retract_always_returns_a_certified_point(case):
     new, _ = retract(point, h, tau)
     assert new.shape == point.shape
     assert feasibility_error(new.x) <= FEASIBILITY_TOL
+
+
+@st.composite
+def _exact_steps(draw):
+    """A point, a generic tangent direction and a step with tau*||H||
+    log-uniform in [1e-3, 1e6]."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    h = _random_tangent(point, rng)
+    norm = np.linalg.norm(h)
+    if norm == 0.0:  # n = p = 1: the only tangent is 0
+        return point, h, 1.0
+    return point, h, 10.0 ** rng.uniform(-3.0, 6.0) / norm
+
+
+@settings(deadline=None, max_examples=300)
+@given(_exact_steps())
+def test_retract_exact_branch_is_the_projection(case):
+    # The closed form is the polar factor of X - tau*H, the point project()
+    # takes from the SVD.  A square odd p gives H^T H a zero eigenvalue next
+    # to eigenvalues tau^2 larger, which a sigma taken as sqrt(1 + tau^2 lam)
+    # or an unweighted Newton-Schulz step gets wrong by up to 5e-10.  (For a
+    # tall rank-deficient H the polar factor of the rounded step itself moves
+    # by about 1e-16 * tau*||H||, so there the two routes may differ by that.)
+    point, h, tau = case
+    new, fast = retract(point, h, tau)
+    if not fast:  # the Taylor candidate is only second-order accurate
+        npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
+    assert new.feasibility <= FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize("n,p", [(60, 30), (30, 30)])
+def test_chained_exact_retractions_do_not_drift(n, p):
+    # Each closed-form step assumes X^T X = I exactly; the polar correction
+    # in retract stops the feasibility error of one iterate from carrying
+    # into the next.  Without that line the square chain passes 2e-13
+    # within 200 steps (the tall one levels off near 5e-14), above the
+    # 1e-13 below which the Taylor fast path can fire; with it both stay
+    # near 1e-14.
+    rng = np.random.default_rng(11)
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    for _ in range(200):
+        h = _random_tangent(point, rng)
+        tau = 10.0 ** rng.uniform(-1.0, 1.0) / np.linalg.norm(h)
+        point, fast = retract(point, h, tau)
+        assert not fast
+        assert point.feasibility <= 1e-13
+
+
+def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):
+    # At square St(3,3) and tau*||H|| = 1e11 the eigenvectors of H^T H are
+    # too coarse for the certificate, so retract falls back to the SVD.
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return thin_svd(x)
+
+    monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting)
+    rng = np.random.default_rng(1)
+    point = StiefelPoint(random_orthonormal(3, 3, rng))
+    s = rng.standard_normal((3, 3))
+    h = point.x @ (s - s.T)
+    tau = 1e11 / np.linalg.norm(h)
+    new, fast = retract(point, h, tau)
+    assert not fast and len(calls) == 1
+    assert feasibility_error(new.x) <= FEASIBILITY_TOL
+    npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
 
 
 def test_retract_validates_inputs():

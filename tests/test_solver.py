@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import stiefelopt.linalg
+import stiefelopt.manifold
 import stiefelopt.solver
 from stiefelopt import (
     CallableObjective,
@@ -383,6 +384,24 @@ def test_loop_shape_stopping_bb_and_callback(monkeypatch):
     assert calls == {"bb_steps": report.nitr - 1, "stopping_check": report.nitr + 1}
     assert [k for k, _ in seen] == list(range(1, report.nitr + 1))
     npt.assert_array_equal(seen[-1][1], report.x)
+
+
+def test_solve_loop_calls_no_svd(monkeypatch):
+    # Every exact retraction of a solve takes the closed-form polar factor;
+    # the SVD is only a rescue for far larger steps than a solve takes.
+    calls = []
+    original = stiefelopt.manifold.thin_svd
+
+    def counting(x):
+        calls.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting)
+    problem, x0 = _small_wopp(seed=0, m=40, n=20)
+    report = StiefelSolver(alpha=0.5, beta=0.5).solve(problem, x0)
+    assert report.converged
+    assert sum(not r.fastpath for r in report.history[1:]) > 0
+    assert calls == []
 
 
 def test_random_start_is_reproducible_from_seed():
