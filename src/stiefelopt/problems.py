@@ -87,12 +87,41 @@ def fd_gradient(objective, x, h: float = 1e-6) -> np.ndarray:
     return out
 
 
+class _SharedWork:
+    """One-slot memo of the work ``value(x)`` shares with ``gradient(x)``.
+
+    The solver asks for ``gradient(x)`` only right after ``value(x)`` at the
+    same read-only array, so ``value`` keeps its costliest intermediate and
+    ``gradient`` takes it instead of recomputing it.  Only a read-only array
+    that owns its data (every ``StiefelPoint.x``) is kept: a writable array or
+    a view can change between the two calls, as ``fd_gradient``'s work array
+    does.  The slot holds ``x`` itself and matches by identity, so a reused
+    address never matches; taking empties it, so no iterate outlives its
+    gradient.  A miss only recomputes, so callers sharing one problem across
+    threads still get exact results.
+    """
+
+    _memo: tuple | None = None
+
+    def _keep(self, x, work):
+        """Store ``work`` as the intermediate at ``x`` when ``x`` cannot change."""
+        frozen = isinstance(x, np.ndarray) and not x.flags.writeable and x.base is None
+        self._memo = (x, work) if frozen else None
+
+    def _take(self, x):
+        """The intermediate kept at this very ``x``, or None; empties the slot."""
+        memo, self._memo = self._memo, None
+        if memo is not None and memo[0] is x and not x.flags.writeable:
+            return memo[1]
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Weighted orthogonal Procrustes
 # ---------------------------------------------------------------------------
 
 
-class WoppProblem:
+class WoppProblem(_SharedWork):
     """Weighted orthogonal Procrustes: minimize ``0.5 * ||A X C - B||_F^2``.
 
     The variable ``X`` is ``(m, n)`` with orthonormal columns; ``A`` is
@@ -201,10 +230,13 @@ class WoppProblem:
 
     def value(self, x: np.ndarray) -> float:
         r = self.a @ x @ self.c - self.b
+        self._keep(x, r)
         return 0.5 * float(np.sum(r * r))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        r = self.a @ x @ self.c - self.b
+        r = self._take(x)
+        if r is None:
+            r = self.a @ x @ self.c - self.b
         return self.a.T @ r @ self.c.T
 
     def to_dict(self) -> dict:
@@ -237,7 +269,7 @@ class WoppProblem:
 # ---------------------------------------------------------------------------
 
 
-class EnergyProblem:
+class EnergyProblem(_SharedWork):
     """Total energy ``0.5*tr(X^T L X) + (mu/4) * rho(X)^T L^{-1} rho(X)``.
 
     ``L`` is the ``n x n`` tridiagonal matrix with 2 on the diagonal and -1
@@ -288,15 +320,19 @@ class EnergyProblem:
         lx = self._apply_l(x)
         quad = 0.5 * float(np.sum(x * lx))
         if self.mu == 0.0:
+            self._keep(x, (lx, None))
             return quad
         rho = self.row_density(x)
-        return quad + 0.25 * self.mu * float(rho @ self._solve_l(rho))
+        y = self._solve_l(rho)
+        self._keep(x, (lx, y))
+        return quad + 0.25 * self.mu * float(rho @ y)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        lx = self._apply_l(x)
+        lx, y = self._take(x) or (self._apply_l(x), None)
         if self.mu == 0.0:
             return lx
-        y = self._solve_l(self.row_density(x))
+        if y is None:
+            y = self._solve_l(self.row_density(x))
         return lx + self.mu * y[:, None] * x
 
     def kkt_residual(self, x: np.ndarray) -> float:
@@ -322,7 +358,7 @@ class EnergyProblem:
 # ---------------------------------------------------------------------------
 
 
-class EigProblem:
+class EigProblem(_SharedWork):
     """Minimize ``-trace(X^T A X)`` for symmetric positive semidefinite ``A``.
 
     Minimizers are orthonormal bases of the eigenspace of the ``p`` largest
@@ -371,10 +407,15 @@ class EigProblem:
         return cls(a, p, oracle_eigs=oracle, seed=seed)
 
     def value(self, x: np.ndarray) -> float:
-        return -float(np.sum(x * (self.a @ x)))
+        ax = self.a @ x
+        self._keep(x, ax)
+        return -float(np.sum(x * ax))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return -2.0 * (self.a @ x)
+        ax = self._take(x)
+        if ax is None:
+            ax = self.a @ x
+        return -2.0 * ax
 
     def relative_error(self, x: np.ndarray) -> float:
         """``|sum of top-p oracle eigenvalues - tr(X^T A X)| / |tr(X^T A X)|``."""

@@ -53,6 +53,13 @@ class Objective(Protocol):
     ``shape`` is the ``(n, p)`` of the variable, ``name`` a short label,
     ``value(x)`` the objective at a feasible ``x``, and ``gradient(x)`` the
     ambient (Euclidean) gradient, an ``(n, p)`` array.
+
+    Evaluation order: the solver calls ``gradient(x)`` only right after
+    ``value(x)`` at the same read-only array object (the start, then each
+    accepted line-search trial); trials it rejects get ``value`` alone.  An
+    objective may therefore keep work its ``value`` did for the ``gradient``
+    that follows, keyed by the identity of a read-only ``x``, as the built-in
+    problems do.
     """
 
     shape: tuple[int, int]

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelopt import (
     CallableObjective,
     EigProblem,
     EnergyProblem,
+    StiefelPoint,
     WoppProblem,
     as_generator,
     fd_gradient,
@@ -291,3 +294,74 @@ def test_problem_from_dict_rejects_unknown_family():
         problem_from_dict({"family": "lasso"})
     data = json.loads(json.dumps(EnergyProblem(4, 2).to_dict()))
     assert isinstance(problem_from_dict(data), EnergyProblem)
+
+
+# -- work shared between value and gradient ----------------------------------------------
+
+
+def _family(name, n, p, seed):
+    """An instance of one family at shape (n, p)."""
+    if name == "wopp":
+        return WoppProblem.generate(n, p, ptype=2, seed=seed)
+    if name == "energy":
+        return EnergyProblem(n, p, mu=float(seed % 3))  # mu = 0 included
+    return EigProblem.generate(n, p, seed=seed)
+
+
+FAMILIES = ["wopp", "energy", "eig"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(1, 12).flatmap(lambda p: st.tuples(st.integers(p, 16), st.just(p))),
+    st.integers(0, 2**32 - 1),
+)
+def test_gradient_after_value_is_bit_equal_to_a_fresh_gradient(name, shape, seed):
+    n, p = shape
+    problem = _family(name, n, p, seed)
+    x = StiefelPoint(random_orthonormal(n, p, seed)).x
+    fresh = problem.gradient(x.copy())
+    problem.value(x)
+    shared = problem.gradient(x)
+    assert shared.tobytes() == fresh.tobytes()
+    assert problem.gradient(x).tobytes() == fresh.tobytes()  # slot taken: recomputed
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_writable_array_mutated_after_value_gets_a_fresh_gradient(name):
+    # fd_gradient's pattern: one writable work array, changed in place
+    # between calls.
+    problem = _family(name, 9, 3, 1)
+    w = random_orthonormal(9, 3, 2)
+    problem.value(w)
+    w[0, 0] += 0.5
+    npt.assert_array_equal(problem.gradient(w), problem.gradient(w.copy()))
+    # Read-only at value, made writable and changed before gradient.
+    x = random_orthonormal(9, 3, 3)
+    x.setflags(write=False)
+    problem.value(x)
+    x.setflags(write=True)
+    x[0, 0] += 0.5
+    npt.assert_array_equal(problem.gradient(x), problem.gradient(x.copy()))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_read_only_view_of_a_writable_base_is_not_kept(name):
+    problem = _family(name, 9, 3, 3)
+    base = random_orthonormal(9, 3, 4)
+    view = base[:]
+    view.setflags(write=False)
+    problem.value(view)
+    base[1, 2] -= 0.5  # the view sees the change
+    npt.assert_array_equal(problem.gradient(view), problem.gradient(view.copy()))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_gradient_at_another_point_is_not_served_from_the_slot(name):
+    problem = _family(name, 9, 3, 5)
+    x = StiefelPoint(random_orthonormal(9, 3, 6)).x
+    y = StiefelPoint(random_orthonormal(9, 3, 7)).x
+    problem.value(x)
+    npt.assert_array_equal(problem.gradient(y), problem.gradient(y.copy()))
+    npt.assert_array_equal(problem.gradient(x), problem.gradient(x.copy()))

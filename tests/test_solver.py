@@ -404,6 +404,59 @@ def test_solve_loop_calls_no_svd(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["monotone", "nonmonotone"])
+def test_gradient_is_asked_only_at_the_array_just_valued(mode):
+    # The contract the built-in problems' shared work relies on: every
+    # gradient(x) follows value(x) at the very same read-only array.
+    problem, x0 = _small_wopp(seed=9)
+    calls = []
+
+    def record(kind, method):
+        def call(x):
+            calls.append((kind, x, x.flags.writeable))
+            return method(x)
+
+        return call
+
+    objective = CallableObjective(
+        fun=record("value", problem.value),
+        grad=record("gradient", problem.gradient),
+        shape=problem.shape,
+    )
+    report = StiefelSolver(alpha=0.5, beta=0.5, mode=mode).solve(objective, x0)
+    assert report.converged
+    grads = [i for i, (kind, _, _) in enumerate(calls) if kind == "gradient"]
+    assert len(grads) == report.nge
+    for i in grads:
+        kind, x, writeable = calls[i - 1]
+        assert kind == "value" and x is calls[i][1] and not writeable
+        assert not calls[i][2]
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the products taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.matmul(self.view(np.ndarray), other)
+
+
+def test_eig_solve_takes_one_product_with_a_per_value(monkeypatch):
+    # The gradient reuses the A @ X its value just formed, so a solve costs
+    # nfe products with A, not nfe + nge.
+    rng = as_generator(2)
+    problem = EigProblem.generate(60, 4, rng=rng)
+    x0 = random_orthonormal(60, 4, rng)
+    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    problem.a = problem.a.view(_CountingMatrix)
+    report = StiefelSolver(mode="monotone", step_init="bb").solve(problem, x0)
+    assert report.converged
+    assert _CountingMatrix.products == report.nfe
+    assert problem._memo is None  # no iterate outlives its gradient
+
+
 def test_random_start_is_reproducible_from_seed():
     problem, _ = _small_wopp(seed=17)
     rep_a = StiefelSolver().solve(problem, rng=7)
