@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .linalg import as_generator, random_orthonormal
 from .problems import EigProblem, EnergyProblem, WoppProblem
-from .solver import StiefelSolver
+from .solver import PARAM_CHOICES, StiefelSolver
 
 _INSTANCE_DEFAULTS = {
     "family": "wopp",
@@ -124,17 +124,7 @@ def _run_batch(cfg: dict, solver: StiefelSolver, label: str = ""):
         report = solver.solve(problem, x0)
         reports.append(report)
         rows.append(
-            {
-                "sim": sim,
-                "seed": sim_seed,
-                "nitr": report.nitr,
-                "nfe": report.nfe,
-                "time_s": report.time_s,
-                "fval": report.fval,
-                "nrmg": report.nrmg,
-                "feasi": report.feasi,
-                "error": _oracle_error(problem, report),
-            }
+            dict(report.to_dict(), sim=sim, seed=sim_seed, error=_oracle_error(problem, report))
         )
         tag = f"[{label}] " if label else ""
         print(
@@ -157,10 +147,7 @@ def _print_aggregate(agg_rows, heading: str) -> None:
         print("  " + "  ".join(cells))
 
 
-def cmd_run(cfg: dict, solver_params: dict) -> int:
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo_naming(cfg)
+def cmd_run(cfg: dict, solver_params: dict, outdir: Path) -> int:
     solver = StiefelSolver(**solver_params)
     rows, reports = _run_batch(cfg, solver)
     agg = _aggregate(rows)
@@ -172,10 +159,7 @@ def cmd_run(cfg: dict, solver_params: dict) -> int:
     summary = {
         "config": {k: cfg[k] for k in _INSTANCE_DEFAULTS if k != "alphas"},
         "solver_params": solver.get_params(),
-        "runs": [
-            dict(report.to_dict(), sim=row["sim"], seed=row["seed"], error=row["error"])
-            for row, report in zip(rows, reports)
-        ],
+        "runs": rows,
         "aggregate": {row["stat"]: {c: row[c] for c in _AGG_COLUMNS} for row in agg},
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
@@ -183,10 +167,7 @@ def cmd_run(cfg: dict, solver_params: dict) -> int:
     return 0 if all(r.converged for r in reports) else 1
 
 
-def cmd_compare(cfg: dict, solver_params: dict) -> int:
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo_naming(cfg)
+def cmd_compare(cfg: dict, solver_params: dict, outdir: Path) -> int:
     all_ok = True
     mode_aggs = {}
     for mode in ("monotone", "nonmonotone"):
@@ -210,19 +191,11 @@ def cmd_compare(cfg: dict, solver_params: dict) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_sweep(cfg: dict, solver_params: dict) -> int:
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo_naming(cfg)
-    alphas = cfg["alphas"]
-    if not alphas:
-        raise SystemExit("error: sweep needs a nonempty alpha grid")
-    if any(a < 0 or a > 1 for a in alphas):
-        raise SystemExit("error: sweep alphas must lie in [0, 1]")
+def cmd_sweep(cfg: dict, solver_params: dict, outdir: Path) -> int:
     problem, x0 = _build_instance(cfg, cfg["seed"])
     rows = []
     ok = True
-    for a in alphas:
+    for a in cfg["alphas"]:
         params = dict(solver_params, alpha=a, beta=1.0 - a)
         report = StiefelSolver(**params).solve(problem, x0)
         ok = ok and report.converged
@@ -230,19 +203,7 @@ def cmd_sweep(cfg: dict, solver_params: dict) -> int:
             f"alpha={a:.3g} beta={1.0 - a:.3g} nitr={report.nitr} "
             f"fval={report.fval:.6e} nrmg={report.nrmg:.3e} {report.termination}"
         )
-        rows.append(
-            {
-                "alpha": a,
-                "beta": 1.0 - a,
-                "nitr": report.nitr,
-                "nfe": report.nfe,
-                "time_s": report.time_s,
-                "fval": report.fval,
-                "nrmg": report.nrmg,
-                "feasi": report.feasi,
-                "termination": str(report.termination),
-            }
-        )
+        rows.append(dict(report.to_dict(), alpha=a, beta=1.0 - a))
     _write_csv(
         outdir / "sweep.csv",
         ["alpha", "beta", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "termination"],
@@ -285,20 +246,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--history", action=argparse.BooleanOptionalAction, default=None,
                      help="also write per-iteration history of the first run")
-    # solver overrides
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--eta", type=float, default=None)
-    sub.add_argument("--mode", choices=("monotone", "nonmonotone"), default=None)
-    sub.add_argument("--epsilon", type=float, default=None)
-    sub.add_argument("--tolx", type=float, default=None)
-    sub.add_argument("--tolf", type=float, default=None)
-    sub.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    sub.add_argument("--tau0", type=float, default=None)
-    sub.add_argument("--bb-mode", dest="bb_mode", choices=("alternate", "bb1", "bb2"),
-                     default=None)
-    sub.add_argument("--step-init", dest="step_init", choices=("auto", "fixed", "bb"),
-                     default=None)
+    # one override per solver parameter, typed like its default
+    for f in fields(StiefelSolver):
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                         choices=PARAM_CHOICES.get(f.name), default=None)
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -327,6 +278,13 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
             solver_params[key] = flag
     if not (isinstance(cfg["sims"], int) and cfg["sims"] >= 1):
         raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
+    alphas = cfg["alphas"]
+    if not (
+        isinstance(alphas, list)
+        and alphas
+        and all(isinstance(a, (int, float)) and 0 <= a <= 1 for a in alphas)
+    ):
+        raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     return cfg, solver_params
 
 
@@ -348,12 +306,12 @@ def main(argv=None) -> int:
                              help="comma list '0,0.5,1' or range '0:0.05:1'")
     args = parser.parse_args(argv)
     cfg, solver_params = _resolve_config(args)
+    command = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(cfg, solver_params)
-        if args.command == "compare":
-            return cmd_compare(cfg, solver_params)
-        return cmd_sweep(cfg, solver_params)
+        outdir = Path(cfg["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        _echo_naming(cfg)
+        return command(cfg, solver_params, outdir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

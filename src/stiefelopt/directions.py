@@ -18,7 +18,7 @@ derivative along the projected curve is :func:`descent_derivative`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,33 +36,20 @@ class GradientSplit:
     ----------
     canonical : numpy.ndarray, shape (n, p)
         ``G - X G^T X``.  Its norm is the first-order stationarity measure
-        reported by the solver; it vanishes exactly when ``skew`` does.
+        reported by the solver; it vanishes exactly when the skew factor
+        ``A = G X^T - X G^T`` does.
     complement : numpy.ndarray, shape (n, p)
         ``(I - X X^T) G``, computed as ``G - X (X^T G)`` so no ``n x n``
         intermediate is formed.
     canonical_norm, complement_norm : float
         Frobenius norms of the two parts, from which the solver's gradient
         norm, :attr:`skew_norm` and :func:`descent_derivative` are read.
-    point, grad
-        The split ``X`` and ``G``, kept only to form :attr:`skew` on demand.
     """
 
     canonical: np.ndarray
     complement: np.ndarray
     canonical_norm: float
     complement_norm: float
-    point: StiefelPoint = field(repr=False)
-    grad: np.ndarray = field(repr=False)
-
-    @property
-    def skew(self) -> np.ndarray:
-        """``A = G X^T - X G^T``, skew-symmetric with ``canonical = A X``.
-
-        An ``O(n^2)`` diagnostic built on each access; the solver uses
-        :attr:`skew_norm` instead.
-        """
-        x = self.point.x
-        return self.grad @ x.T - x @ self.grad.T
 
     @property
     def skew_norm(self) -> float:
@@ -82,7 +69,7 @@ def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
     canonical = g - x @ (g.T @ x)
     complement = g - x @ (x.T @ g)
     return GradientSplit(
-        canonical, complement, frobenius_norm(canonical), frobenius_norm(complement), point, g
+        canonical, complement, frobenius_norm(canonical), frobenius_norm(complement)
     )
 
 

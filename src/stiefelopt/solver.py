@@ -211,6 +211,16 @@ def stopping_check(
     return None
 
 
+#: Allowed values of the string-valued :class:`StiefelSolver` parameters,
+#: checked by ``solve`` and offered as the CLI's ``choices``.
+PARAM_CHOICES = {
+    "mode": ("monotone", "nonmonotone"),
+    "bb_mode": ("alternate", "bb1", "bb2"),
+    "step_init": ("auto", "fixed", "bb"),
+    "bb_gradient": ("canonical", "mixed"),
+}
+
+
 @dataclass(eq=False)
 class StiefelSolver:
     """Feasible descent with monotone or non-monotone Armijo acceptance.
@@ -304,8 +314,9 @@ class StiefelSolver:
                 f"need alpha >= 0, beta >= 0, alpha + beta > 0; "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
-        if self.mode not in ("monotone", "nonmonotone"):
-            raise ValueError(f"mode must be 'monotone' or 'nonmonotone', got {self.mode!r}")
+        for name, allowed in PARAM_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("epsilon", "tolx", "tolf", "tau0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -323,14 +334,6 @@ class StiefelSolver:
             )
         if not 0 <= self.eta < 1:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
-        if self.bb_mode not in ("alternate", "bb1", "bb2"):
-            raise ValueError(f"bb_mode must be alternate/bb1/bb2, got {self.bb_mode!r}")
-        if self.step_init not in ("auto", "fixed", "bb"):
-            raise ValueError(f"step_init must be auto/fixed/bb, got {self.step_init!r}")
-        if self.bb_gradient not in ("canonical", "mixed"):
-            raise ValueError(
-                f"bb_gradient must be 'canonical' or 'mixed', got {self.bb_gradient!r}"
-            )
         if not (isinstance(self.max_halvings, int) and self.max_halvings >= 1):
             raise ValueError(f"max_halvings must be an int >= 1, got {self.max_halvings}")
 

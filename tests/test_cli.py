@@ -4,10 +4,12 @@ exit codes, and reproducibility."""
 import argparse
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
-from stiefelopt.cli import _parse_alphas, main
+from stiefelopt import StiefelSolver
+from stiefelopt.cli import _fmt, _parse_alphas, main
 
 RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 
@@ -72,6 +74,13 @@ def test_run_summary_json_mirrors_the_tables(tmp_path):
         assert run["converged"] is True
         assert run["termination"] == "GradTol"
     assert set(summary["aggregate"]) == {"min", "mean", "max"}
+
+
+def test_runs_table_and_summary_runs_are_one_schema(tmp_path):
+    assert main(_run_args(tmp_path)) == 0
+    _, rows = _read_csv(tmp_path / "out" / "runs.csv")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert rows == [[_fmt(run[col]) for col in RUN_COLUMNS] for run in summary["runs"]]
 
 
 def test_run_is_reproducible_except_for_timing(tmp_path):
@@ -164,11 +173,30 @@ def test_sweep_walks_the_direction_mix(tmp_path):
         assert row[header.index("termination")] != ""
 
 
+@pytest.mark.parametrize(
+    "alphas, form",
+    [("", "flag"), (["x"], "config"), ([], "config"), (0.5, "config")],
+    ids=["flag-empty", "config-string", "config-empty", "config-scalar"],
+)
+def test_bad_alphas_are_rejected_before_any_output(tmp_path, alphas, form):
+    out = tmp_path / "out"
+    if form == "flag":
+        extra = ["--alphas", alphas]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alphas": alphas}))
+        extra = ["--config", str(cfg_path)]
+    with pytest.raises(SystemExit, match="alphas"):
+        main(["sweep", "--n", "6", "--p", "2", "--out", str(out), *extra])
+    assert not out.exists()
+
+
 def test_sweep_rejects_weights_outside_unit_interval(tmp_path):
     args = ["sweep", "--n", "6", "--p", "2", "--alphas", "0,2",
             "--out", str(tmp_path / "x")]
     with pytest.raises(SystemExit, match="alphas"):
         main(args)
+    assert not (tmp_path / "x").exists()  # rejected before any output is made
 
 
 def test_parse_alphas_forms():
@@ -234,6 +262,32 @@ def test_sims_below_one_is_an_error(tmp_path, sims):
 def test_unreadable_config_is_an_error(tmp_path):
     with pytest.raises(SystemExit, match="cannot read config"):
         main(["run", "--config", str(tmp_path / "missing.json")])
+
+
+# A valid value other than the default for every solver parameter.
+_NON_DEFAULT = {
+    "alpha": "0.5", "beta": "0.5", "mode": "monotone", "epsilon": "1e-5", "tolx": "1e-7",
+    "tolf": "1e-11", "window": "3", "max_iters": "50", "delta": "0.5", "rho1": "1e-3",
+    "tau_min": "1e-10", "tau_max": "1e3", "eta": "0.5", "tau0": "1e-2", "bb_mode": "bb1",
+    "step_init": "bb", "bb_gradient": "mixed", "max_halvings": "30",
+}
+
+
+@pytest.mark.parametrize("field", fields(StiefelSolver), ids=lambda f: f.name)
+def test_every_solver_parameter_has_a_flag(tmp_path, field):
+    value = type(field.default)(_NON_DEFAULT[field.name])
+    assert value != field.default
+    flag = "--" + field.name.replace("_", "-")
+    main(_run_args(tmp_path, "--sims", "1", flag, _NON_DEFAULT[field.name]))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["solver_params"][field.name] == value
+
+
+def test_solver_flag_outside_its_choices_exits_via_argparse(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(tmp_path, "--bb-gradient", "full"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_family_flag_exits_via_argparse(tmp_path, capsys):

@@ -21,6 +21,8 @@ from stiefelopt import (
     retract,
 )
 
+from helpers import skew_factor
+
 
 def _random_case(rng, n=None, p=None):
     n = int(rng.integers(3, 15)) if n is None else n
@@ -41,7 +43,7 @@ def test_split_hand_values():
     split = gradient_split(point, grad)
     npt.assert_array_equal(split.canonical, [[0.0], [4.0]])
     npt.assert_array_equal(split.complement, [[0.0], [4.0]])
-    npt.assert_array_equal(split.skew, [[0.0, -4.0], [4.0, 0.0]])
+    npt.assert_array_equal(skew_factor(point, grad), [[0.0, -4.0], [4.0, 0.0]])
     # ||A||^2 = 32, so the pure-canonical slope is -16; the complement
     # part contributes -(||G||^2 - ||X^T G||^2) = -(25 - 9) = -16 per beta.
     assert descent_derivative(split, 1.0, 0.0) == pytest.approx(-16.0)
@@ -57,9 +59,10 @@ def test_skew_factor_is_antisymmetric_and_generates_canonical():
     for _ in range(20):
         point, grad = _random_case(rng)
         split = gradient_split(point, grad)
-        scale = max(1.0, frobenius_norm(split.skew))
-        assert frobenius_norm(split.skew + split.skew.T) <= 1e-12 * scale
-        npt.assert_allclose(split.skew @ point.x, split.canonical, atol=1e-12 * scale)
+        skew = skew_factor(point, grad)
+        scale = max(1.0, frobenius_norm(skew))
+        assert frobenius_norm(skew + skew.T) <= 1e-12 * scale
+        npt.assert_allclose(skew @ point.x, split.canonical, atol=1e-12 * scale)
 
 
 def test_both_components_and_mixes_are_tangent():
@@ -80,7 +83,7 @@ def test_norm_identity_links_skew_and_canonical():
     for _ in range(50):
         point, grad = _random_case(rng)
         split = gradient_split(point, grad)
-        skew_sq = frobenius_norm(split.skew) ** 2
+        skew_sq = frobenius_norm(skew_factor(point, grad)) ** 2
         can_sq = frobenius_norm(split.canonical) ** 2
         xtg = point.x.T @ grad
         small_sq = frobenius_norm(xtg - xtg.T) ** 2
@@ -96,11 +99,12 @@ def test_stationarity_skew_vanishes_iff_canonical_does():
     m = rng.standard_normal((3, 3))
     grad = point.x @ (m + m.T)
     split = gradient_split(point, grad)
-    assert frobenius_norm(split.skew) <= 1e-13
+    assert frobenius_norm(skew_factor(point, grad)) <= 1e-13
     assert frobenius_norm(split.canonical) <= 1e-13
     # A non-symmetric M leaves both strictly nonzero.
-    split = gradient_split(point, point.x @ np.triu(np.ones((3, 3)), k=1))
-    assert frobenius_norm(split.skew) > 0.1
+    grad = point.x @ np.triu(np.ones((3, 3)), k=1)
+    split = gradient_split(point, grad)
+    assert frobenius_norm(skew_factor(point, grad)) > 0.1
     assert frobenius_norm(split.canonical) > 0.1
 
 
@@ -148,7 +152,7 @@ def test_descent_derivative_respects_certified_bound():
         alpha = float(rng.uniform(0.01, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
         dd = descent_derivative(split, alpha, beta)
-        bound = -0.5 * alpha * frobenius_norm(split.skew) ** 2
+        bound = -0.5 * alpha * frobenius_norm(skew_factor(point, grad)) ** 2
         assert dd <= bound + 1e-10
 
 
@@ -204,7 +208,7 @@ def _split_cases(draw):
 def test_skew_norm_matches_the_skew_factor(case):
     point, grad, _, _ = case
     split = gradient_split(point, grad)
-    assert split.skew_norm == pytest.approx(frobenius_norm(split.skew), rel=1e-12)
+    assert split.skew_norm == pytest.approx(frobenius_norm(skew_factor(point, grad)), rel=1e-12)
 
 
 @settings(deadline=None)
