@@ -35,7 +35,8 @@ _INSTANCE_DEFAULTS = {
     "alphas": [0.0, 0.5, 1.0],
 }
 
-_SOLVER_KEYS = {f.name for f in fields(StiefelSolver)}
+#: Allowed values of the settings that have them, for flags and config alike.
+_CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
 _RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 _AGG_COLUMNS = ["nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 
@@ -51,6 +52,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -70,10 +72,8 @@ def _build_instance(cfg: dict, seed: int):
         )
     elif family == "energy":
         problem = EnergyProblem(n, p, mu=cfg["mu"])
-    elif family == "eig":
-        problem = EigProblem.generate(n, p, rng=rng, seed=seed)
     else:
-        raise SystemExit(f"error: unknown family {family!r} (wopp/energy/eig)")
+        problem = EigProblem.generate(n, p, rng=rng, seed=seed)
     x0 = random_orthonormal(n, p, rng)
     return problem, x0
 
@@ -232,10 +232,10 @@ def _parse_alphas(text: str) -> list[float]:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None, help="JSON config file")
-    sub.add_argument("--family", choices=("wopp", "energy", "eig"), default=None)
+    sub.add_argument("--family", choices=_CHOICES["family"], default=None)
     sub.add_argument("--n", type=int, default=None, help="manifold rows")
     sub.add_argument("--p", type=int, default=None, help="manifold columns")
-    sub.add_argument("--ptype", type=int, choices=(1, 2, 3), default=None,
+    sub.add_argument("--ptype", type=int, choices=_CHOICES["ptype"], default=None,
                      help="wopp conditioning class")
     sub.add_argument("--mu", type=float, default=None, help="energy coupling weight")
     sub.add_argument("--known-solution", dest="known_solution",
@@ -249,43 +249,44 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     # one override per solver parameter, typed like its default
     for f in fields(StiefelSolver):
         sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
-                         choices=PARAM_CHOICES.get(f.name), default=None)
+                         choices=_CHOICES.get(f.name), default=None)
+
+
+def _typed_like(value, default) -> bool:
+    """The type rule of the flags: an int may stand for a float, a bool only for a bool."""
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, kind)
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Merge defaults, the JSON config file, and explicit flags."""
-    cfg = dict(_INSTANCE_DEFAULTS)
-    solver_params: dict = {}
+    """Merge defaults, the JSON config file, and explicit flags; check each setting."""
+    defaults = {**_INSTANCE_DEFAULTS, **{f.name: f.default for f in fields(StiefelSolver)}}
+    merged = dict(defaults)
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"error: cannot read config {args.config}: {exc}")
-        for key, value in loaded.items():
-            if key in _INSTANCE_DEFAULTS:
-                cfg[key] = value
-            elif key in _SOLVER_KEYS:
-                solver_params[key] = value
-            else:
+        if not isinstance(loaded, dict):
+            raise SystemExit(f"error: config {args.config} must be a JSON object")
+        for key in loaded:
+            if key not in defaults:
                 raise SystemExit(f"error: unknown config key {key!r}")
-    for key in _INSTANCE_DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    for key in _SOLVER_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            solver_params[key] = flag
-    if not (isinstance(cfg["sims"], int) and cfg["sims"] >= 1):
-        raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
-    alphas = cfg["alphas"]
-    if not (
-        isinstance(alphas, list)
-        and alphas
-        and all(isinstance(a, (int, float)) and 0 <= a <= 1 for a in alphas)
-    ):
+        merged.update(loaded)
+    merged.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
+    for key, default in defaults.items():
+        value = merged[key]
+        if not _typed_like(value, default):
+            raise SystemExit(f"error: {key} must be {type(default).__name__}, got {value!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise SystemExit(f"error: {key} must be one of {_CHOICES[key]}, got {value!r}")
+    if merged["sims"] < 1:
+        raise SystemExit(f"error: sims must be an int >= 1, got {merged['sims']!r}")
+    alphas = merged["alphas"]
+    if not (alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
-    return cfg, solver_params
+    cfg = {key: merged.pop(key) for key in _INSTANCE_DEFAULTS}
+    return cfg, merged
 
 
 def main(argv=None) -> int:
@@ -308,10 +309,8 @@ def main(argv=None) -> int:
     cfg, solver_params = _resolve_config(args)
     command = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}[args.command]
     try:
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
         _echo_naming(cfg)
-        return command(cfg, solver_params, outdir)
+        return command(cfg, solver_params, Path(cfg["out"]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -98,7 +98,10 @@ class _SharedWork:
     does.  The slot holds ``x`` itself and matches by identity, so a reused
     address never matches; taking empties it, so no iterate outlives its
     gradient.  A miss only recomputes, so callers sharing one problem across
-    threads still get exact results.
+    threads still get exact results.  A failed line search asks for no
+    gradient, so its last rejected trial and that trial's intermediate (two
+    ``n x p`` arrays, plus an ``n``-vector for energy) stay in the slot until
+    the problem's next ``value`` call: memory held, never a changed result.
     """
 
     _memo: tuple | None = None

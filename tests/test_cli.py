@@ -175,8 +175,9 @@ def test_sweep_walks_the_direction_mix(tmp_path):
 
 @pytest.mark.parametrize(
     "alphas, form",
-    [("", "flag"), (["x"], "config"), ([], "config"), (0.5, "config")],
-    ids=["flag-empty", "config-string", "config-empty", "config-scalar"],
+    [("", "flag"), (["x"], "config"), ([], "config"), (0.5, "config"),
+     ([True, 0.5], "config")],
+    ids=["flag-empty", "config-string", "config-empty", "config-scalar", "config-bool"],
 )
 def test_bad_alphas_are_rejected_before_any_output(tmp_path, alphas, form):
     out = tmp_path / "out"
@@ -257,6 +258,73 @@ def test_sims_below_one_is_an_error(tmp_path, sims):
     with pytest.raises(SystemExit, match="sims"):
         main(["run", "--config", str(cfg_path), "--out", str(out)])
     assert not out.exists()  # rejected before any output is made
+
+
+# Each refused setting (a config file's content, or a tuple of flags) and a
+# fragment of the one error line that names it.
+_BAD_SETTINGS = {
+    "known_solution-string": ({"known_solution": "false"}, "known_solution must be bool"),
+    "n-string": ({"n": "12"}, "n must be int"),
+    "alpha-string": ({"alpha": "0.5"}, "alpha must be float"),
+    "tau0-string": ({"tau0": "1e-2"}, "tau0 must be float"),
+    "seed-float": ({"seed": 1.5}, "seed must be int"),
+    "window-bool": ({"window": True}, "window must be int"),
+    "top-level-list": ([1, 2], "must be a JSON object"),
+    "family-unknown": ({"family": "ridge"}, "family must be one of"),
+    "mode-unknown": ({"mode": "fast"}, "mode must be one of"),
+    "max_iters-float": ({"max_iters": 10.0}, "max_iters must be int"),
+    "p-above-n": ({"p": 60}, "need m >= n"),
+    "ptype-unknown": ({"ptype": 7}, "ptype must be one of"),
+    "flags-p-above-n": (("--n", "5", "--p", "6"), "need m >= n"),
+}
+
+
+@pytest.mark.parametrize("settings, message", _BAD_SETTINGS.values(), ids=list(_BAD_SETTINGS))
+def test_bad_settings_are_refused_before_any_output(tmp_path, capsys, settings, message):
+    out = tmp_path / "out"
+    if not isinstance(settings, tuple):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        settings = ["--config", str(cfg_path)]
+    try:
+        code = main(["run", *settings, "--out", str(out)])
+        error = capsys.readouterr().err
+    except SystemExit as exc:  # SystemExit("error: ...") exits with status 1
+        code, error = 1, str(exc.code)
+    assert code == 1
+    assert error.startswith("error: ") and error.count("error:") == 1
+    assert message in error
+    assert not out.exists()
+
+
+def _without_timing_or_out(out):
+    """runs.csv rows and summary.json of ``out``, minus ``time_s`` and ``out``."""
+    header, rows = _read_csv(out / "runs.csv")
+    drop = header.index("time_s")
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["config"]["out"]
+    for record in [*summary["runs"], *summary["aggregate"].values()]:
+        del record["time_s"]
+    return [[v for i, v in enumerate(row) if i != drop] for row in rows], summary
+
+
+def test_config_file_and_flags_share_one_declaration(tmp_path):
+    # "tau0": 1 is an int standing for a float, as "--tau0 1" parses to 1.0.
+    settings = {
+        "family": "wopp", "n": 10, "p": 3, "ptype": 2, "known_solution": True, "sims": 2,
+        "seed": 4, "alpha": 0.5, "beta": 0.5, "tau0": 1, "max_iters": 300, "bb_mode": "bb1",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    flags = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+    assert main(["run", *flags, "--out", str(tmp_path / "flags")]) == 0
+    from_file = _without_timing_or_out(tmp_path / "file")
+    assert from_file == _without_timing_or_out(tmp_path / "flags")
+    assert from_file[1]["solver_params"]["tau0"] == 1.0
 
 
 def test_unreadable_config_is_an_error(tmp_path):

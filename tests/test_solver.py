@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stiefelopt.linalg
 import stiefelopt.manifold
@@ -327,6 +329,83 @@ def test_solve_is_deterministic_for_fixed_inputs():
             rb.relx,
             rb.relf,
         )
+
+
+# -- the same invariants over random draws ---------------------------------------------
+
+
+@st.composite
+def _wopp_solves(draw):
+    """A seeded WOPP instance on St(m <= 12, n <= 4), its start, and solver settings."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = as_generator(seed)
+    problem = WoppProblem.generate(
+        m, n, ptype=draw(st.sampled_from((1, 2, 3))), rng=rng,
+        known_solution=draw(st.booleans()), seed=seed,
+    )
+    params = {
+        "alpha": draw(st.floats(0.05, 1.0)),
+        "beta": draw(st.floats(0.0, 1.0)),
+        "eta": draw(st.floats(0.0, 0.95)),
+        "max_iters": draw(st.integers(1, 200)),
+    }
+    return problem, random_orthonormal(m, n, rng), params
+
+
+def _slack(value):
+    return 1e-12 * max(1.0, abs(value))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wopp_solves())
+def test_reference_bounds_the_value_and_never_increases(case):
+    problem, x0, params = case
+    hist = StiefelSolver(**params).solve(problem, x0).history
+    for k, row in enumerate(hist):
+        assert row.cval >= row.fval - _slack(row.fval)
+        if k > 0:
+            assert row.cval <= hist[k - 1].cval + _slack(hist[k - 1].cval)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wopp_solves(), st.sampled_from(stiefelopt.solver.PARAM_CHOICES["step_init"]))
+def test_monotone_mode_decreases_strictly_on_random_draws(case, step_init):
+    problem, x0, params = case
+    report = StiefelSolver(**params, mode="monotone", step_init=step_init).solve(problem, x0)
+    fvals = [row.fval for row in report.history]
+    assert all(b < a for a, b in zip(fvals, fvals[1:]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wopp_solves())
+def test_eta_zero_matches_monotone_with_bb_on_random_draws(case):
+    problem, x0, params = case
+    runs = []
+    for extra in ({}, {"mode": "monotone", "step_init": "bb"}):
+        iterates = []
+        solver = StiefelSolver(**dict(params, eta=0.0, **extra))
+        report = solver.solve(problem, x0, callback=lambda k, x: iterates.append(x.copy()))
+        runs.append((report, iterates))
+    (rep_a, its_a), (rep_b, its_b) = runs
+    assert (rep_a.nitr, rep_a.nfe, rep_a.fval.hex()) == (rep_b.nitr, rep_b.nfe, rep_b.fval.hex())
+    assert rep_a.termination == rep_b.termination and len(its_a) == len(its_b)
+    for xa, xb in zip(its_a, its_b):
+        assert xa.tobytes() == xb.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wopp_solves())
+def test_solve_is_deterministic_on_random_draws(case):
+    problem, x0, params = case
+    a, b = (StiefelSolver(**params).solve(problem, x0) for _ in range(2))
+    assert (a.nitr, a.nfe, a.termination) == (b.nitr, b.nfe, b.termination)
+    assert a.x.tobytes() == b.x.tobytes()
+    # assert_equal counts NaN as equal to NaN (row 0 has no incoming step).
+    npt.assert_equal(
+        [dataclasses.astuple(r) for r in a.history], [dataclasses.astuple(r) for r in b.history]
+    )
 
 
 def test_iterations_build_no_n_by_n_array():
