@@ -1,10 +1,10 @@
 """stiefel-bench: seeded benchmark harness.
 
 Subcommands: ``run`` (one family, N seeded simulations), ``compare``
-(monotone vs non-monotone on identical seeds), ``sweep`` (alpha grid with
-beta = 1 - alpha on one seeded instance).  Settings come from built-in
-defaults, optionally a JSON config file, then command-line flags, in that
-order of precedence.
+(monotone vs non-monotone acceptance, all else equal), ``sweep`` (alpha
+grid with beta = 1 - alpha on one seeded instance).  Settings come from
+built-in defaults, optionally a JSON config file, then command-line flags,
+in that order of precedence.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def _run_batch(cfg: dict, solver: StiefelSolver, label: str = ""):
     for sim in range(cfg["sims"]):
         sim_seed = cfg["seed"] + sim
         problem, x0 = _build_instance(cfg, sim_seed)
+        if sim == 0:
+            _echo_naming(cfg)
         report = solver.solve(problem, x0)
         reports.append(report)
         rows.append(
@@ -193,6 +195,7 @@ def cmd_compare(cfg: dict, solver_params: dict, outdir: Path) -> int:
 
 def cmd_sweep(cfg: dict, solver_params: dict, outdir: Path) -> int:
     problem, x0 = _build_instance(cfg, cfg["seed"])
+    _echo_naming(cfg)
     rows = []
     ok = True
     for a in cfg["alphas"]:
@@ -297,7 +300,7 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("run", "run one family for N seeded simulations"),
-        ("compare", "run monotone and nonmonotone modes on identical seeds"),
+        ("compare", "run monotone and nonmonotone acceptance on identical seeds"),
         ("sweep", "sweep alpha over a grid with beta = 1 - alpha"),
     ):
         sub = subs.add_parser(name, help=help_text)
@@ -309,7 +312,6 @@ def main(argv=None) -> int:
     cfg, solver_params = _resolve_config(args)
     command = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}[args.command]
     try:
-        _echo_naming(cfg)
         return command(cfg, solver_params, Path(cfg["out"]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,14 +72,14 @@ def nonmonotone_update(
         q' = eta * q + 1
         c' = (eta * q * c + f_new) / q'
 
-    ``eta = 0`` collapses the reference to ``f_new`` (monotone behaviour);
+    ``eta = 0`` (monotone) sets ``c`` to ``f_new`` whatever the old ``c``;
     ``eta = 1`` (boundary, useful in tests) makes ``c`` the running mean of
     all accepted values.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     q_new = eta * state.q + 1.0
-    c_new = (eta * state.q * state.c + f_new) / q_new
+    c_new = (eta * state.q * state.c + f_new) / q_new if eta else f_new
     return NonmonotoneState(q=q_new, c=c_new)
 
 

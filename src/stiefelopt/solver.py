@@ -216,7 +216,7 @@ def stopping_check(
 PARAM_CHOICES = {
     "mode": ("monotone", "nonmonotone"),
     "bb_mode": ("alternate", "bb1", "bb2"),
-    "step_init": ("auto", "fixed", "bb"),
+    "step_init": ("fixed", "bb"),
     "bb_gradient": ("canonical", "mixed"),
 }
 
@@ -234,7 +234,8 @@ class StiefelSolver:
         sweep experiments but carries no guarantee.
     mode : {"nonmonotone", "monotone"}
         Acceptance reference: the averaged value ``C_k`` or the last value
-        ``F(X_k)``.
+        ``F(X_k)``.  Monotone mode is the averaged rule at ``eta = 0`` and
+        ignores ``eta``; it picks only the reference, not the trial step.
     epsilon : float
         Gradient-norm stopping tolerance.
     tolx, tolf : float
@@ -251,16 +252,16 @@ class StiefelSolver:
         Clamp interval for BB trial steps.
     eta : float
         Averaging weight of the non-monotone reference, in [0, 1).
-        ``eta = 0`` reproduces the monotone reference exactly.
+        ``eta = 0`` is the monotone reference; monotone mode ignores ``eta``.
     tau0 : float
-        Trial step for iteration 0 and for every iteration under a fixed
-        step policy.
+        Trial step for iteration 0, and for every iteration when
+        ``step_init="fixed"``.
     bb_mode : {"alternate", "bb1", "bb2"}
         Which BB formula seeds the backtracking: alternate by iteration
         parity (even memory index -> bb1), or one of them always.
-    step_init : {"auto", "fixed", "bb"}
-        Trial-step policy after iteration 0.  "auto" resolves to "bb" in
-        non-monotone mode and "fixed" in monotone mode.
+    step_init : {"bb", "fixed"}
+        Trial-step policy after iteration 0, the same in both modes: the
+        clamped BB step of ``bb_mode``, or ``tau0`` again.
     bb_gradient : {"canonical", "mixed"}
         Whether the BB residual uses the canonical-gradient difference or
         the full mixed-direction difference.
@@ -289,7 +290,7 @@ class StiefelSolver:
     eta: float = 0.85
     tau0: float = 1e-3
     bb_mode: str = "alternate"
-    step_init: str = "auto"
+    step_init: str = "bb"
     bb_gradient: str = "canonical"
     max_halvings: int = 60
 
@@ -379,8 +380,8 @@ class StiefelSolver:
         if point.shape != (n, p):
             raise ValueError(f"x0 shape {point.shape} != objective shape {(n, p)}")
 
-        monotone = self.mode == "monotone"
-        use_bb = self.step_init == "bb" or (self.step_init == "auto" and not monotone)
+        eta = 0.0 if self.mode == "monotone" else self.eta
+        use_bb = self.step_init == "bb"
         sqrt_n = math.sqrt(n)
 
         start = time.perf_counter()
@@ -401,7 +402,7 @@ class StiefelSolver:
                     fval=f_val,
                     nrmg=split.canonical_norm,
                     tau=tau,
-                    cval=f_val if monotone else state.c,
+                    cval=state.c,
                     relx=relx,
                     relf=relf,
                     fastpath=fastpath,
@@ -444,7 +445,6 @@ class StiefelSolver:
                 # complement component has dried up: no certified descent.
                 termination = Termination.LINE_SEARCH_FAILED
                 break
-            c_ref = f_val if monotone else state.c
             try:
                 ls = backtrack(
                     objective,
@@ -452,7 +452,7 @@ class StiefelSolver:
                     direction,
                     slope,
                     tau_next,
-                    c_ref,
+                    state.c,
                     rho1=self.rho1,
                     delta=self.delta,
                     max_halvings=self.max_halvings,
@@ -474,8 +474,7 @@ class StiefelSolver:
                 resid = new_split.canonical - split.canonical
             else:
                 resid = new_direction - direction
-            if not monotone:
-                state = nonmonotone_update(state, ls.value, self.eta)
+            state = nonmonotone_update(state, ls.value, eta)
 
             k += 1
             point, f_val, split, direction = new_point, ls.value, new_split, new_direction

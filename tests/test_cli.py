@@ -129,17 +129,15 @@ def test_run_exit_code_flags_nonconvergence(tmp_path):
 
 
 def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
-    args = [
-        "compare",
+    settings = [
         "--family", "wopp",
         "--n", "12",
         "--p", "3",
         "--known-solution",
         "--sims", "2",
         "--seed", "5",
-        "--out", str(tmp_path / "cmp"),
     ]
-    assert main(args) == 0
+    assert main(["compare", *settings, "--out", str(tmp_path / "cmp")]) == 0
     _, mono = _read_csv(tmp_path / "cmp" / "runs_monotone.csv")
     _, nonm = _read_csv(tmp_path / "cmp" / "runs_nonmonotone.csv")
     assert [r[1] for r in mono] == ["5", "6"]
@@ -148,6 +146,14 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
     assert header[:2] == ["mode", "stat"]
     assert len(rows) == 6  # two modes x min/mean/max
     assert {r[0] for r in rows} == {"monotone", "nonmonotone"}
+    # Only the acceptance rule differs: monotone is the averaged rule at eta = 0
+    # with the same trial steps.
+    assert main(["run", *settings, "--eta", "0", "--out", str(tmp_path / "eta0")]) == 0
+    header, eta0 = _read_csv(tmp_path / "eta0" / "runs.csv")
+    drop = header.index("time_s")
+    assert [[v for i, v in enumerate(r) if i != drop] for r in mono] == [
+        [v for i, v in enumerate(r) if i != drop] for r in eta0
+    ]
 
 
 # -- sweep -------------------------------------------------------------------------------
@@ -276,6 +282,7 @@ _BAD_SETTINGS = {
     "p-above-n": ({"p": 60}, "need m >= n"),
     "ptype-unknown": ({"ptype": 7}, "ptype must be one of"),
     "flags-p-above-n": (("--n", "5", "--p", "6"), "need m >= n"),
+    "step_init-auto": ({"step_init": "auto"}, "step_init must be one of"),
 }
 
 
@@ -288,10 +295,13 @@ def test_bad_settings_are_refused_before_any_output(tmp_path, capsys, settings, 
         settings = ["--config", str(cfg_path)]
     try:
         code = main(["run", *settings, "--out", str(out)])
-        error = capsys.readouterr().err
+        captured = capsys.readouterr()
+        error = captured.err
     except SystemExit as exc:  # SystemExit("error: ...") exits with status 1
         code, error = 1, str(exc.code)
+        captured = capsys.readouterr()
     assert code == 1
+    assert "instance:" not in captured.out  # no echo of an instance never built
     assert error.startswith("error: ") and error.count("error:") == 1
     assert message in error
     assert not out.exists()
@@ -337,7 +347,7 @@ _NON_DEFAULT = {
     "alpha": "0.5", "beta": "0.5", "mode": "monotone", "epsilon": "1e-5", "tolx": "1e-7",
     "tolf": "1e-11", "window": "3", "max_iters": "50", "delta": "0.5", "rho1": "1e-3",
     "tau_min": "1e-10", "tau_max": "1e3", "eta": "0.5", "tau0": "1e-2", "bb_mode": "bb1",
-    "step_init": "bb", "bb_gradient": "mixed", "max_halvings": "30",
+    "step_init": "fixed", "bb_gradient": "mixed", "max_halvings": "30",
 }
 
 

@@ -96,6 +96,11 @@ def test_nonmonotone_update_eta_zero_collapses_to_newest():
     assert (state.q, state.c) == (1.0, 4.0)
 
 
+def test_nonmonotone_update_eta_zero_forgets_an_infinite_reference():
+    # A start with F(X_0) = inf must not turn the reference into 0 * inf = NaN.
+    assert nonmonotone_update(NonmonotoneState(1.0, math.inf), 3.0, 0.0).c == 3.0
+
+
 def test_nonmonotone_update_eta_one_is_running_mean():
     values = [10.0, 4.0, 7.0, 1.0]
     state = NonmonotoneState(q=1.0, c=values[0])

@@ -51,7 +51,7 @@ EXPECTED_DEFAULTS = {
     "eta": 0.85,
     "tau0": 1e-3,
     "bb_mode": "alternate",
-    "step_init": "auto",
+    "step_init": "bb",
     "bb_gradient": "canonical",
     "max_halvings": 60,
 }
@@ -114,6 +114,7 @@ def test_set_params_round_trip_and_unknown_key():
         {"step_init": "warm"},
         {"bb_gradient": "full"},
         {"max_halvings": 0},
+        {"step_init": "auto"},
     ],
 )
 def test_invalid_parameters_raise_on_solve(bad):
@@ -316,6 +317,28 @@ def test_eta_zero_matches_monotone_with_bb_exactly():
         npt.assert_array_equal(xa, xb)
 
 
+def test_eta_zero_matches_monotone_from_an_infinite_start():
+    # F(X_0) = inf: the reference starts at inf, and eta = 0 must still
+    # collapse it onto the first accepted value, as monotone mode does.
+    x0 = random_orthonormal(20, 3, 41)
+    weights = np.arange(1.0, 21.0)[:, None]
+    objective = CallableObjective(
+        fun=lambda x: math.inf if np.array_equal(x, x0) else float(np.sum(weights * x * x)),
+        grad=lambda x: 2.0 * weights * x,
+        shape=(20, 3),
+    )
+    a, b = (
+        StiefelSolver(**extra).solve(objective, x0)
+        for extra in ({"eta": 0.0}, {"mode": "monotone"})
+    )
+    assert a.history[0].cval == math.inf and a.converged
+    assert (a.nitr, a.nfe, a.termination) == (b.nitr, b.nfe, b.termination)
+    assert a.x.tobytes() == b.x.tobytes()
+    npt.assert_equal(
+        [dataclasses.astuple(r) for r in a.history], [dataclasses.astuple(r) for r in b.history]
+    )
+
+
 def test_solve_is_deterministic_for_fixed_inputs():
     problem, x0 = _small_wopp(seed=13)
     reports = [StiefelSolver(alpha=0.5, beta=0.5).solve(problem, x0) for _ in range(2)]
@@ -381,11 +404,13 @@ def test_monotone_mode_decreases_strictly_on_random_draws(case, step_init):
 @settings(deadline=None, max_examples=60)
 @given(_wopp_solves())
 def test_eta_zero_matches_monotone_with_bb_on_random_draws(case):
+    # The monotone side keeps the drawn eta, which it must ignore, and the
+    # default step policy, which is BB in both modes.
     problem, x0, params = case
     runs = []
-    for extra in ({}, {"mode": "monotone", "step_init": "bb"}):
+    for solver_params in (dict(params, eta=0.0), dict(params, mode="monotone")):
         iterates = []
-        solver = StiefelSolver(**dict(params, eta=0.0, **extra))
+        solver = StiefelSolver(**solver_params)
         report = solver.solve(problem, x0, callback=lambda k, x: iterates.append(x.copy()))
         runs.append((report, iterates))
     (rep_a, its_a), (rep_b, its_b) = runs
