@@ -20,7 +20,6 @@ from .linalg import (
     thin_svd,
 )
 from .linesearch import (
-    LineSearchError,
     LineSearchResult,
     NonmonotoneState,
     backtrack,
@@ -88,7 +87,6 @@ __all__ = [
     "mixed_direction",
     "descent_derivative",
     # linesearch
-    "LineSearchError",
     "LineSearchResult",
     "NonmonotoneState",
     "backtrack",

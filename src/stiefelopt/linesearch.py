@@ -1,10 +1,14 @@
 """Step-size machinery: BB trial steps, clamping, the non-monotone reference
-value, and Armijo backtracking along the projected curve."""
+value, and Armijo backtracking along the projected curve.
+
+Running out of step reductions is an ordinary outcome of a search, so
+:func:`backtrack` returns a :class:`LineSearchResult` either way; it raises
+only for invalid arguments."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import frobenius_inner, frobenius_norm
 from .manifold import StiefelPoint, retract
@@ -16,7 +20,6 @@ __all__ = [
     "NonmonotoneState",
     "nonmonotone_update",
     "LineSearchResult",
-    "LineSearchError",
     "backtrack",
 ]
 
@@ -74,38 +77,37 @@ def nonmonotone_update(
 
     ``eta = 0`` (monotone) sets ``c`` to ``f_new`` whatever the old ``c``;
     ``eta = 1`` (boundary, useful in tests) makes ``c`` the running mean of
-    all accepted values.
+    all accepted values.  A reference that is not finite (a start with
+    ``F(X_0) = inf``) restarts as at ``eta = 0``, with ``q = 1`` and
+    ``c = f_new``; averaged in, it would stay infinite and void every later
+    sufficient-decrease test.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if not eta or not math.isfinite(state.c):
+        return NonmonotoneState(q=1.0, c=f_new)
     q_new = eta * state.q + 1.0
-    c_new = (eta * state.q * state.c + f_new) / q_new if eta else f_new
-    return NonmonotoneState(q=q_new, c=c_new)
+    return NonmonotoneState(q=q_new, c=(eta * state.q * state.c + f_new) / q_new)
 
 
 @dataclass(frozen=True)
 class LineSearchResult:
-    """Accepted step: length, landing point, objective value there, number of
-    objective evaluations spent, and whether the retraction fast path fired."""
+    """Outcome of one backtracking search.
+
+    ``accepted`` says whether a trial passed the sufficient-decrease test.
+    If one did, ``tau``, ``point`` and ``value`` are its step, landing point
+    and objective value; if the budget ran out, they are those of the
+    lowest-value trial (ties keep the first).  ``nfe`` counts every trial
+    the search evaluated, and ``fastpath`` says whether :func:`retract`
+    took its fast path to ``point``.
+    """
 
     tau: float
     point: StiefelPoint
     value: float
     nfe: int
-    used_taylor: bool
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking exhausted its budget without sufficient decrease.
-
-    Carries the best (lowest-value) candidate seen so the caller can report
-    or salvage it.
-    """
-
-    def __init__(self, message: str, best: LineSearchResult | None, nfe: int):
-        super().__init__(message)
-        self.best = best
-        self.nfe = nfe
+    fastpath: bool
+    accepted: bool
 
 
 def backtrack(
@@ -147,10 +149,12 @@ def backtrack(
     max_halvings : int
         Budget of shrinks before giving up.
 
-    Raises
-    ------
-    LineSearchError
-        If the budget is exhausted; the best candidate seen rides along.
+    Returns
+    -------
+    LineSearchResult
+        The first trial that passes, with ``accepted=True``; or, after
+        ``max_halvings`` shrinks without one, the lowest-value trial with
+        ``accepted=False``.  Either way ``nfe`` counts every trial.
     """
     if not slope < 0:
         raise ValueError(f"slope must be negative, got {slope}")
@@ -163,27 +167,19 @@ def backtrack(
 
     tau = float(tau0)
     nfe = 0
-    shrinks = 0
     best: LineSearchResult | None = None
     while True:
-        candidate, used_taylor = retract(point, direction, tau)
+        candidate, fastpath = retract(point, direction, tau)
         f_val = float(objective.value(candidate.x))
         nfe += 1
         if f_val < c_ref + rho1 * tau * slope:
             return LineSearchResult(
-                tau=tau, point=candidate, value=f_val, nfe=nfe, used_taylor=used_taylor
+                tau=tau, point=candidate, value=f_val, nfe=nfe, fastpath=fastpath, accepted=True
             )
         if best is None or f_val < best.value:
             best = LineSearchResult(
-                tau=tau, point=candidate, value=f_val, nfe=nfe, used_taylor=used_taylor
+                tau=tau, point=candidate, value=f_val, nfe=nfe, fastpath=fastpath, accepted=False
             )
-        shrinks += 1
-        if shrinks > max_halvings:
-            raise LineSearchError(
-                f"no sufficient decrease after {max_halvings} step reductions "
-                f"(best F = {best.value:.6e} at tau = {best.tau:.3e}, "
-                f"reference = {c_ref:.6e})",
-                best,
-                nfe,
-            )
+        if nfe > max_halvings:
+            return replace(best, nfe=nfe)
         tau *= delta

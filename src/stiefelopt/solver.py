@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from numbers import Integral
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from .directions import descent_derivative, gradient_split
 from .linalg import as_generator, frobenius_norm, random_orthonormal
 from .linesearch import (
-    LineSearchError,
     NonmonotoneState,
     backtrack,
     bb_steps,
@@ -321,10 +321,10 @@ class StiefelSolver:
         for name in ("epsilon", "tolx", "tolf", "tau0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (isinstance(self.window, int) and self.window >= 1):
-            raise ValueError(f"window must be an int >= 1, got {self.window}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters}")
+        for name in ("window", "max_iters", "max_halvings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0 < self.rho1 < 1:
@@ -335,8 +335,6 @@ class StiefelSolver:
             )
         if not 0 <= self.eta < 1:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
-        if not (isinstance(self.max_halvings, int) and self.max_halvings >= 1):
-            raise ValueError(f"max_halvings must be an int >= 1, got {self.max_halvings}")
 
     # -- main loop ----------------------------------------------------------
 
@@ -445,23 +443,21 @@ class StiefelSolver:
                 # complement component has dried up: no certified descent.
                 termination = Termination.LINE_SEARCH_FAILED
                 break
-            try:
-                ls = backtrack(
-                    objective,
-                    point,
-                    direction,
-                    slope,
-                    tau_next,
-                    state.c,
-                    rho1=self.rho1,
-                    delta=self.delta,
-                    max_halvings=self.max_halvings,
-                )
-            except LineSearchError as err:
-                nfe += err.nfe
+            ls = backtrack(
+                objective,
+                point,
+                direction,
+                slope,
+                tau_next,
+                state.c,
+                rho1=self.rho1,
+                delta=self.delta,
+                max_halvings=self.max_halvings,
+            )
+            nfe += ls.nfe
+            if not ls.accepted:
                 termination = Termination.LINE_SEARCH_FAILED
                 break
-            nfe += ls.nfe
 
             new_point = ls.point
             step_mat = new_point.x - point.x
@@ -478,7 +474,7 @@ class StiefelSolver:
 
             k += 1
             point, f_val, split, direction = new_point, ls.value, new_split, new_direction
-            tau, fastpath, step_nfe = ls.tau, ls.used_taylor, ls.nfe
+            tau, fastpath, step_nfe = ls.tau, ls.fastpath, ls.nfe
 
         elapsed = time.perf_counter() - start
         return SolverReport(

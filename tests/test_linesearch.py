@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stiefelopt import (
-    LineSearchError,
     NonmonotoneState,
     StiefelPoint,
     backtrack,
@@ -17,6 +16,7 @@ from stiefelopt import (
     gradient_split,
     mixed_direction,
     nonmonotone_update,
+    retract,
 )
 
 
@@ -101,6 +101,13 @@ def test_nonmonotone_update_eta_zero_forgets_an_infinite_reference():
     assert nonmonotone_update(NonmonotoneState(1.0, math.inf), 3.0, 0.0).c == 3.0
 
 
+def test_nonmonotone_update_restarts_an_infinite_reference():
+    # With eta > 0 an infinite reference would stay infinite (eta*q*inf) and
+    # let every later trial pass; it restarts as at eta = 0 instead.
+    state = nonmonotone_update(NonmonotoneState(1.0, math.inf), 3.0, 0.85)
+    assert state == NonmonotoneState(1.0, 3.0)
+
+
 def test_nonmonotone_update_eta_one_is_running_mean():
     values = [10.0, 4.0, 7.0, 1.0]
     state = NonmonotoneState(q=1.0, c=values[0])
@@ -127,7 +134,8 @@ def test_backtrack_accepts_first_trial_on_the_circle():
     result = backtrack(objective, point, direction, slope, 1.0, c_ref=2.0)
     assert result.tau == 1.0
     assert result.nfe == 1
-    assert not result.used_taylor
+    assert result.accepted
+    assert not result.fastpath
     assert result.value == pytest.approx(1.2, abs=1e-12)
     expected = np.array([[3.0], [-1.0]]) / math.sqrt(10.0)
     np.testing.assert_allclose(result.point.x, expected, atol=1e-12)
@@ -165,22 +173,40 @@ def test_backtrack_rejects_exact_ties():
 def test_backtrack_exhaustion_carries_best_candidate():
     point = StiefelPoint(np.array([[1.0], [0.0]]))
     direction = np.array([[0.0], [1.0]])
-    with pytest.raises(LineSearchError, match="no sufficient decrease") as excinfo:
-        backtrack(
-            _ValueOnly(lambda x: 7.5),
-            point,
-            direction,
-            slope=-1.0,
-            tau0=1.0,
-            c_ref=5.0,
-            max_halvings=5,
-        )
-    err = excinfo.value
-    assert err.nfe == 6  # initial trial plus five shrinks
-    assert err.best is not None
-    assert err.best.value == 7.5
-    assert err.best.tau == 1.0  # ties keep the first candidate seen
-    assert err.best.nfe == 1
+    result = backtrack(
+        _ValueOnly(lambda x: 7.5),
+        point,
+        direction,
+        slope=-1.0,
+        tau0=1.0,
+        c_ref=5.0,
+        max_halvings=5,
+    )
+    assert not result.accepted
+    assert result.nfe == 6  # initial trial plus five shrinks
+    assert result.value == 7.5
+    assert result.tau == 1.0  # ties keep the first candidate seen
+
+
+def test_backtrack_exhaustion_returns_the_lowest_value_trial():
+    values = iter([9.0, 6.0, 8.0, 7.0])
+    point = StiefelPoint(np.array([[1.0], [0.0]]))
+    direction = np.array([[0.0], [1.0]])
+    tau0 = 1.0
+    result = backtrack(
+        _ValueOnly(lambda x: next(values)),
+        point,
+        direction,
+        slope=-1.0,
+        tau0=tau0,
+        c_ref=5.0,
+        max_halvings=3,
+    )
+    assert result.accepted is False
+    assert result.nfe == 4
+    assert result.value == 6.0
+    assert result.tau == 0.3 * tau0
+    np.testing.assert_array_equal(result.point.x, retract(point, direction, 0.3 * tau0)[0].x)
 
 
 def test_backtrack_validates_arguments():

@@ -115,12 +115,22 @@ def test_set_params_round_trip_and_unknown_key():
         {"bb_gradient": "full"},
         {"max_halvings": 0},
         {"step_init": "auto"},
+        {"max_iters": True},
+        {"window": True},
+        {"max_halvings": True},
     ],
 )
 def test_invalid_parameters_raise_on_solve(bad):
     solver = StiefelSolver(**bad)
     with pytest.raises(ValueError):
         solver.solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
+
+
+def test_integer_parameters_accept_numpy_integers():
+    x0 = np.array([[0.6], [0.8]])
+    a = StiefelSolver(max_iters=np.int64(50), window=np.int32(5)).solve(_toy_quadratic(), x0)
+    b = StiefelSolver(max_iters=50, window=5).solve(_toy_quadratic(), x0)
+    assert (a.nitr, a.nfe, a.termination, a.fval) == (b.nitr, b.nfe, b.termination, b.fval)
 
 
 # -- stopping rules -------------------------------------------------------------------
@@ -317,9 +327,8 @@ def test_eta_zero_matches_monotone_with_bb_exactly():
         npt.assert_array_equal(xa, xb)
 
 
-def test_eta_zero_matches_monotone_from_an_infinite_start():
-    # F(X_0) = inf: the reference starts at inf, and eta = 0 must still
-    # collapse it onto the first accepted value, as monotone mode does.
+def _infinite_start_quadratic():
+    """A weighted quadratic on St(20, 3) that is inf at its start ``x0`` only."""
     x0 = random_orthonormal(20, 3, 41)
     weights = np.arange(1.0, 21.0)[:, None]
     objective = CallableObjective(
@@ -327,6 +336,13 @@ def test_eta_zero_matches_monotone_from_an_infinite_start():
         grad=lambda x: 2.0 * weights * x,
         shape=(20, 3),
     )
+    return objective, x0
+
+
+def test_eta_zero_matches_monotone_from_an_infinite_start():
+    # F(X_0) = inf: the reference starts at inf, and eta = 0 must still
+    # collapse it onto the first accepted value, as monotone mode does.
+    objective, x0 = _infinite_start_quadratic()
     a, b = (
         StiefelSolver(**extra).solve(objective, x0)
         for extra in ({"eta": 0.0}, {"mode": "monotone"})
@@ -337,6 +353,19 @@ def test_eta_zero_matches_monotone_from_an_infinite_start():
     npt.assert_equal(
         [dataclasses.astuple(r) for r in a.history], [dataclasses.astuple(r) for r in b.history]
     )
+
+
+def test_averaged_reference_recovers_from_an_infinite_start():
+    # With eta > 0 the reference restarts at the first accepted value, so
+    # from row 1 on it is finite and every step meets the Armijo test.
+    objective, x0 = _infinite_start_quadratic()
+    solver = StiefelSolver()
+    hist = solver.solve(objective, x0).history
+    assert hist[0].cval == math.inf and len(hist) > 2
+    for row in hist[1:]:
+        assert math.isfinite(row.cval) and row.cval >= row.fval
+    for prev, row in zip(hist[1:], hist[2:]):
+        assert row.fval < prev.cval + solver.rho1 * row.tau * prev.slope
 
 
 def test_solve_is_deterministic_for_fixed_inputs():
