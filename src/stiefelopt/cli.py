@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (one family, N seeded simulations), ``compare``
 (monotone vs non-monotone acceptance, all else equal), ``sweep`` (alpha
-grid with beta = 1 - alpha on one seeded instance).  Settings come from
-built-in defaults, optionally a JSON config file, then command-line flags,
-in that order of precedence.
+grid with beta = 1 - alpha, N seeded simulations per alpha).  Settings
+come from built-in defaults, optionally a JSON config file, then
+command-line flags, in that order of precedence.
 """
 
 from __future__ import annotations
@@ -194,24 +194,14 @@ def cmd_compare(cfg: dict, solver_params: dict, outdir: Path) -> int:
 
 
 def cmd_sweep(cfg: dict, solver_params: dict, outdir: Path) -> int:
-    problem, x0 = _build_instance(cfg, cfg["seed"])
-    _echo_naming(cfg)
     rows = []
     ok = True
     for a in cfg["alphas"]:
-        params = dict(solver_params, alpha=a, beta=1.0 - a)
-        report = StiefelSolver(**params).solve(problem, x0)
-        ok = ok and report.converged
-        print(
-            f"alpha={a:.3g} beta={1.0 - a:.3g} nitr={report.nitr} "
-            f"fval={report.fval:.6e} nrmg={report.nrmg:.3e} {report.termination}"
-        )
-        rows.append(dict(report.to_dict(), alpha=a, beta=1.0 - a))
-    _write_csv(
-        outdir / "sweep.csv",
-        ["alpha", "beta", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "termination"],
-        rows,
-    )
+        solver = StiefelSolver(**dict(solver_params, alpha=a, beta=1.0 - a))
+        batch, reports = _run_batch(cfg, solver, label=f"alpha={a:.3g}")
+        ok = ok and all(r.converged for r in reports)
+        rows += [dict(row, alpha=a, beta=1.0 - a) for row in batch]
+    _write_csv(outdir / "sweep.csv", ["alpha", "beta", *_RUN_COLUMNS, "termination"], rows)
     print(f"wrote {outdir / 'sweep.csv'}")
     return 0 if ok else 1
 

@@ -8,6 +8,8 @@ feasibility at construction, so infeasible iterates cannot circulate.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .linalg import as_matrix, frobenius_norm, thin_svd
@@ -27,10 +29,23 @@ __all__ = [
 #: Largest ||X^T X - I||_F accepted when constructing a StiefelPoint.
 FEASIBILITY_TOL = 1e-12
 
-#: Acceptance threshold for the quadratic fast path in :func:`retract`.
+#: Acceptance threshold for the series fast path in :func:`retract`.
 #: Fixed by design, not a tunable: candidates above it fall back to the
-#: exact projection, the closed-form polar factor.
+#: exact projection, the closed-form polar factor from ``eigh``.
 TAYLOR_ACCEPT_TOL = 1e-13
+
+#: :func:`retract` tries the series only while ``||step^T step - I||_F`` is
+#: below this: from here on the degree it needs exceeds 10, and the ``eigh``
+#: polar factor is cheaper.
+SERIES_CUTOFF = 0.05
+
+#: The series is truncated at the smallest degree ``d >= 1`` with
+#: ``||E||_F^(d+1) <= SERIES_TOL``, a bound on the candidate's Gram error.
+SERIES_TOL = 1e-14
+
+#: ``c_0..c_10`` of ``(1 + x)^(-1/2) = sum_k c_k x^k``, ``c_k = c_{k-1} (1/2 - k) / k``;
+#: 10 is the largest degree used below :data:`SERIES_CUTOFF`.
+_SERIES_COEFFS = tuple(accumulate(range(1, 11), lambda c, k: c * (0.5 - k) / k, initial=1.0))
 
 
 class FeasibilityError(ValueError):
@@ -147,20 +162,42 @@ def is_tangent(point: StiefelPoint, z, tol: float) -> bool:
     return frobenius_norm(sym) <= tol
 
 
+def _inverse_sqrt_series(e: np.ndarray, degree: int) -> np.ndarray:
+    """``sum_{k <= degree} c_k E^k``, the truncated series of ``(I + E)^(-1/2)``,
+    by Horner's rule: ``degree - 1`` products of ``p x p`` matrices, ``degree >= 1``."""
+    p = e.shape[0]
+    w = _SERIES_COEFFS[degree] * e
+    for c in _SERIES_COEFFS[degree - 1 : 0 : -1]:
+        w.flat[:: p + 1] += c
+        w = w @ e
+    w.flat[:: p + 1] += 1.0  # c_0
+    return w
+
+
 def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, bool]:
     """Feasible curve step ``Z(tau) = proj(X - tau * H)`` with a cheap fast path.
 
-    The quadratic candidate ``X - tau*H - (tau^2/2) * X (H^T H)`` agrees with
-    the projection through second order in ``tau``.  When its feasibility
-    error is below :data:`TAYLOR_ACCEPT_TOL` it is returned directly;
-    otherwise the exact projection, the polar factor of ``X - tau*H``, is
-    computed.  For tangent ``H`` the Gram ``(X - tau*H)^T (X - tau*H) =
-    I + tau^2 H^T H`` is at least ``I``, so that factor is unique at every
-    ``tau``, and with ``H^T H = V diag(lam) V^T`` it has the closed form
-    ``(X - tau*H) V diag((1 + tau^2 lam)^(-1/2)) V^T``: one ``p x p``
-    symmetric eigendecomposition and O(n p^2) products, no SVD.  The thin
-    SVD of ``X - tau*H`` is kept as a rescue for when the closed form misses
-    :data:`FEASIBILITY_TOL`, which takes ``tau*||H||`` of 1e6 or more.
+    The projection is the polar factor ``step (step^T step)^(-1/2)`` of
+    ``step = X - tau*H``.  With ``E = step^T step - I`` taken from the formed
+    step (so it also absorbs the roundoff in ``X`` and in the tangency of
+    ``H``), the fast path truncates the binomial series
+    ``(I + E)^(-1/2) = I - E/2 + 3E^2/8 - ...`` at the smallest degree
+    ``d >= 1`` with ``||E||_F^(d+1) <= 1e-14`` (:data:`SERIES_TOL`) and returns
+    ``step p_d(E)`` when its feasibility error is below
+    :data:`TAYLOR_ACCEPT_TOL`.  That candidate is the projection to about
+    ``5e-14``; it costs ``p x p`` products only, besides the Gram matrix,
+    the product with ``step`` and the certificate.  The series is skipped
+    when ``||E||_F >= 0.05`` (:data:`SERIES_CUTOFF`), where ``d`` would
+    exceed 10.
+
+    Otherwise the exact projection is computed in closed form.  For tangent
+    ``H`` the Gram ``step^T step = I + tau^2 H^T H`` is at least ``I``, so
+    the polar factor is unique at every ``tau``, and with
+    ``H^T H = V diag(lam) V^T`` it is ``step V diag((1 + tau^2 lam)^(-1/2)) V^T``:
+    one ``p x p`` symmetric eigendecomposition and O(n p^2) products, no
+    SVD.  The thin SVD of ``step`` is kept as a rescue for when the closed
+    form misses :data:`FEASIBILITY_TOL`, which takes ``tau*||H||`` of 1e6
+    or more.
 
     Parameters
     ----------
@@ -190,17 +227,23 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
         return point, True
     x = point.x
     step = x - tau * h
-    hth = h.T @ h
-    candidate = step - (0.5 * tau * tau) * (x @ hth)
-    feas = feasibility_error(candidate)
-    if feas < TAYLOR_ACCEPT_TOL:
-        return StiefelPoint(candidate, feasibility=feas), True
+    e = step.T @ step
+    e.flat[:: e.shape[0] + 1] -= 1.0
+    e_norm = frobenius_norm(e)
+    if e_norm < SERIES_CUTOFF:
+        degree, bound = 1, e_norm * e_norm
+        while bound > SERIES_TOL:
+            degree, bound = degree + 1, bound * e_norm
+        candidate = step @ _inverse_sqrt_series(e, degree)
+        feas = feasibility_error(candidate)
+        if feas < TAYLOR_ACCEPT_TOL:
+            return StiefelPoint(candidate, feasibility=feas), True
     # (X - tau*H)^T (X - tau*H) = I + tau^2 H^T H, so the eigenvectors V of
     # H^T H are right singular vectors of the step and its polar factor is
     # (step V) diag(1/sigma) V^T.  sigma is read off the columns of step V,
     # not taken as sqrt(1 + tau^2 lam): the rounding in a small lam is
     # amplified by tau^2 and spoils the small singular values.
-    _, v = np.linalg.eigh(hth)
+    _, v = np.linalg.eigh(h.T @ h)
     b = step @ v
     sigma = np.linalg.norm(b, axis=0)
     w = b / sigma

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -310,6 +310,12 @@ class StiefelSolver:
         return self
 
     def _validate_params(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and (
+                isinstance(value, bool) or not isinstance(value, Real)
+            ):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta > 0):
             raise ValueError(
                 f"need alpha >= 0, beta >= 0, alpha + beta > 0; "

@@ -30,6 +30,7 @@ from stiefelopt import (
     random_orthonormal,
     retract,
 )
+from stiefelopt.manifold import _inverse_sqrt_series
 
 from helpers import skew_factor
 
@@ -225,26 +226,39 @@ def test_criterion_03_certified_descent_bound():
     _announce(3, "closed-form descent derivative bound + FD match", body)
 
 
-def test_criterion_04_retraction_third_order_agreement():
+def test_criterion_04_retraction_series_order():
+    # The fast path's degree-d candidate step p_d(E), E = step^T step - I,
+    # is off the projection by O(||E||^(d+1)) = O(tau^(2d+2)), so halving
+    # tau divides the gap by 2^(2d+2); and retract's own pick of d returns
+    # the projection to roundoff.
     def body():
         rng = np.random.default_rng(3)
-        ratios = []
+        ratios = {1: [], 2: []}
         for _ in range(20):
             point, grad = _random_point_and_gradient(rng, max_dim=20)
             split = gradient_split(point, grad)
             h = mixed_direction(split, 0.7, 0.3)
+            p = point.p
+            tau0 = np.sqrt(0.04 / np.linalg.norm(h.T @ h))  # ||E||_F = 0.04
 
-            def gap(tau):
-                x = point.x
-                candidate = x - tau * h - 0.5 * tau * tau * (x @ (h.T @ h))
-                return np.linalg.norm(project(x - tau * h).x - candidate)
+            def gap(tau, degree):
+                step = point.x - tau * h
+                candidate = step @ _inverse_sqrt_series(step.T @ step - np.eye(p), degree)
+                return np.linalg.norm(project(step).x - candidate)
 
-            ratio = gap(1e-3) / gap(5e-4)
-            assert 5.6 <= ratio <= 11.3
-            ratios.append(np.log2(ratio))
-        return f"log2 ratios in [{min(ratios):.2f}, {max(ratios):.2f}]"
+            for degree, seen in ratios.items():
+                ratio = gap(tau0, degree) / gap(0.5 * tau0, degree)
+                expected = 2.0 ** (2 * degree + 2)
+                assert expected / np.sqrt(2) <= ratio <= expected * np.sqrt(2)
+                seen.append(np.log2(ratio))
+            new, fast = retract(point, h, tau0)
+            assert fast
+            assert np.linalg.norm(new.x - project(point.x - tau0 * h).x) <= 1e-13
+        return ", ".join(
+            f"d={d}: log2 ratios in [{min(r):.2f}, {max(r):.2f}]" for d, r in ratios.items()
+        )
 
-    _announce(4, "quadratic fast path agrees with projection to O(tau^3)", body)
+    _announce(4, "series fast path agrees with projection to O(||E||^(d+1))", body)
 
 
 def test_criterion_05_feasibility_of_every_benchmark_iterate():

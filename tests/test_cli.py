@@ -179,6 +179,28 @@ def test_sweep_walks_the_direction_mix(tmp_path):
         assert row[header.index("termination")] != ""
 
 
+def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
+    settings = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
+                "--sims", "2", "--seed", "3"]
+    assert main(["sweep", *settings, "--alphas", "0.5,1", "--out", str(tmp_path / "sw")]) == 0
+    header, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
+    assert header == ["alpha", "beta", *RUN_COLUMNS, "termination"]
+    assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
+        ("0.5", "0.5", "0", "3"), ("0.5", "0.5", "1", "4"),
+        ("1.0", "0.0", "0", "3"), ("1.0", "0.0", "1", "4"),
+    ]
+    # Each alpha's rows are the run rows of that mix on the same seeds.
+    for alpha, beta, chunk in (("0.5", "0.5", rows[:2]), ("1", "0", rows[2:])):
+        out = tmp_path / f"run_{alpha}"
+        assert main(["run", *settings, "--alpha", alpha, "--beta", beta, "--out", str(out)]) == 0
+        run_header, run_rows = _read_csv(out / "runs.csv")
+        keep = [c for c in RUN_COLUMNS if c != "time_s"]
+        assert [[r[header.index(c)] for c in keep] for r in chunk] == [
+            [r[run_header.index(c)] for c in keep] for r in run_rows
+        ]
+        assert all(float(r[header.index("error")]) <= 1e-8 for r in chunk)
+
+
 @pytest.mark.parametrize(
     "alphas, form",
     [("", "flag"), (["x"], "config"), ([], "config"), (0.5, "config"),

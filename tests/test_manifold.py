@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stiefelopt.manifold
+from stiefelopt.manifold import SERIES_CUTOFF, _inverse_sqrt_series
 from stiefelopt import (
     FEASIBILITY_TOL,
     TAYLOR_ACCEPT_TOL,
@@ -148,14 +149,18 @@ def test_is_tangent_shape_mismatch_raises():
 
 
 def test_retract_hand_case_falls_back_to_projection():
-    # X = (1,0), H = (0,1), tau = 0.1.  The quadratic candidate
-    # (0.995, -0.1) has feasibility |0.995^2 + 0.01 - 1| = 2.5e-05, far
-    # above the fast-path cutoff, so the result is (1,-0.1)/sqrt(1.01).
+    # X = (1,0), H = (0,1): the step (1, -tau) has Gram error E = tau^2 and
+    # projects to (1, -tau)/sqrt(1 + tau^2).  At tau = 0.1, E = 0.01 is
+    # below the series cutoff, so the fast path returns the projection;
+    # at tau = 0.3, E = 0.09 is beyond it and the eigh polar factor does.
     point = StiefelPoint(np.array([[1.0], [0.0]]))
     h = np.array([[0.0], [1.0]])
-    new, fast = retract(point, h, 0.1)
-    assert not fast
-    npt.assert_allclose(new.x, np.array([[1.0], [-0.1]]) / np.sqrt(1.01), atol=1e-14)
+    for tau, series in [(0.1, True), (0.3, False)]:
+        assert (tau * tau < SERIES_CUTOFF) == series
+        new, fast = retract(point, h, tau)
+        assert fast == series
+        expected = np.array([[1.0], [-tau]]) / np.sqrt(1.0 + tau * tau)
+        npt.assert_allclose(new.x, expected, atol=1e-14)
 
 
 def test_retract_zero_step_returns_same_point():
@@ -165,8 +170,8 @@ def test_retract_zero_step_returns_same_point():
 
 
 def test_retract_fast_path_fires_for_tiny_steps():
-    # Candidate feasibility is O(tau^3), so tau = 1e-5 on a unit-scale
-    # direction lands far below the cutoff and skips the SVD.
+    # At tau = 1e-5 on a unit-scale direction the step's Gram error is about
+    # 1e-10, so a degree-1 series certifies and no eigh is taken.
     rng = np.random.default_rng(7)
     point = StiefelPoint(random_orthonormal(9, 3, rng))
     h = _random_tangent(point, rng)
@@ -178,23 +183,69 @@ def test_retract_fast_path_fires_for_tiny_steps():
     npt.assert_allclose(new.x, exact, atol=1e-13)
 
 
-def test_retract_fast_and_exact_paths_agree_to_third_order():
-    # ||proj(X - tau H) - candidate(tau)|| ~ c tau^3: halving tau divides
-    # the gap by ~8 (log2 ratio within [2.5, 3.5]).
+def test_retract_series_and_projection_agree_to_its_order():
+    # The degree-d series candidate step p_d(E) is off the projection by
+    # O(||E||^(d+1)) = O(tau^(2d+2)): halving tau divides the gap by
+    # 2^(2d+2) (log2 ratio within half a unit of 2d + 2).
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(4, 20))
         p = int(rng.integers(1, min(n, 6) + 1))
         point = StiefelPoint(random_orthonormal(n, p, rng))
         h = _random_tangent(point, rng)
+        # ||E||_F = 0.04 at tau0: at tau0 / 2 the degree-3 gap, about 1e-9,
+        # is still far above roundoff.
+        tau0 = np.sqrt(0.04 / np.linalg.norm(h.T @ h))
 
-        def gap(tau):
-            x = point.x
-            candidate = x - tau * h - 0.5 * tau * tau * (x @ (h.T @ h))
-            return np.linalg.norm(project(x - tau * h).x - candidate)
+        def gap(tau, degree):
+            step = point.x - tau * h
+            e = step.T @ step - np.eye(p)
+            candidate = step @ _inverse_sqrt_series(e, degree)
+            return np.linalg.norm(project(step).x - candidate)
 
-        ratio = np.log2(gap(1e-3) / gap(5e-4))
-        assert 2.5 <= ratio <= 3.5
+        for degree in (1, 2, 3):
+            ratio = np.log2(gap(tau0, degree) / gap(0.5 * tau0, degree))
+            assert abs(ratio - (2 * degree + 2)) <= 0.5
+        new, fast = retract(point, h, tau0)
+        assert fast
+        npt.assert_allclose(new.x, project(point.x - tau0 * h).x, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_inverse_sqrt_series_gram_error_scales_as_the_next_power(degree):
+    # W = p_d(E) truncates (I + E)^(-1/2), so W (I + E) W - I = O(||E||^(d+1)),
+    # bounded by ||E||_F^(d+1) and shrinking 2^(d+1)-fold when E halves.
+    rng = np.random.default_rng(degree)
+    a = rng.standard_normal((6, 6))
+    direction = (a + a.T) / np.linalg.norm(a + a.T)
+
+    def gram_error(scale):
+        e = scale * direction
+        w = _inverse_sqrt_series(e, degree)
+        return np.linalg.norm(w @ (np.eye(6) + e) @ w - np.eye(6))
+
+    errors = [gram_error(scale) for scale in (0.04, 0.02)]
+    assert errors[0] <= 0.04 ** (degree + 1) and errors[1] <= 0.02 ** (degree + 1)
+    assert abs(np.log2(errors[0] / errors[1]) - (degree + 1)) <= 0.2
+
+
+def test_retract_series_corrects_the_drift_of_its_start():
+    # E is read off the formed step, so it holds the start's own Gram error
+    # as well as tau^2 H^T H: a certified start 5e-13 off orthonormality
+    # (above TAYLOR_ACCEPT_TOL) still takes the series at a tiny step, and
+    # the result is feasible to roundoff and equal to the projection.
+    rng = np.random.default_rng(13)
+    x0 = random_orthonormal(40, 8, rng)
+    s = rng.standard_normal((8, 8))
+    s = s + s.T
+    point = StiefelPoint(x0 @ (np.eye(8) + 2.5e-13 * s / np.linalg.norm(s)))
+    assert 4e-13 <= point.feasibility <= 6e-13
+    h = _random_tangent(point, rng)
+    h /= np.linalg.norm(h)
+    new, fast = retract(point, h, 1e-9)
+    assert fast
+    assert new.feasibility <= 1e-14
+    npt.assert_allclose(new.x, project(point.x - 1e-9 * h).x, rtol=0, atol=1e-14)
 
 
 def test_retract_takes_the_polar_factor_at_huge_steps():
@@ -242,7 +293,7 @@ def test_retract_always_returns_a_certified_point(case):
 @st.composite
 def _exact_steps(draw):
     """A point, a generic tangent direction and a step with tau*||H||
-    log-uniform in [1e-3, 1e6]."""
+    log-uniform in [1e-8, 1e6]."""
     n = draw(st.integers(1, 12))
     p = draw(st.integers(1, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -251,22 +302,22 @@ def _exact_steps(draw):
     norm = np.linalg.norm(h)
     if norm == 0.0:  # n = p = 1: the only tangent is 0
         return point, h, 1.0
-    return point, h, 10.0 ** rng.uniform(-3.0, 6.0) / norm
+    return point, h, 10.0 ** rng.uniform(-8.0, 6.0) / norm
 
 
 @settings(deadline=None, max_examples=300)
 @given(_exact_steps())
 def test_retract_exact_branch_is_the_projection(case):
-    # The closed form is the polar factor of X - tau*H, the point project()
-    # takes from the SVD.  A square odd p gives H^T H a zero eigenvalue next
+    # Every branch, the series as well as the closed form, returns the polar
+    # factor of X - tau*H, the point project() takes from the SVD.  For the
+    # closed form, a square odd p gives H^T H a zero eigenvalue next
     # to eigenvalues tau^2 larger, which a sigma taken as sqrt(1 + tau^2 lam)
     # or an unweighted Newton-Schulz step gets wrong by up to 5e-10.  (For a
     # tall rank-deficient H the polar factor of the rounded step itself moves
     # by about 1e-16 * tau*||H||, so there the two routes may differ by that.)
     point, h, tau = case
-    new, fast = retract(point, h, tau)
-    if not fast:  # the Taylor candidate is only second-order accurate
-        npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
+    new, _ = retract(point, h, tau)
+    npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
     assert new.feasibility <= FEASIBILITY_TOL
 
 
@@ -276,16 +327,32 @@ def test_chained_exact_retractions_do_not_drift(n, p):
     # in retract stops the feasibility error of one iterate from carrying
     # into the next.  Without that line the square chain passes 2e-13
     # within 200 steps (the tall one levels off near 5e-14), above the
-    # 1e-13 below which the Taylor fast path can fire; with it both stay
-    # near 1e-14.
+    # 1e-13 below which the series fast path can fire; with it both stay
+    # near 1e-14.  The steps have ||E||_F = tau^2 ||H^T H||_F in [0.1, 100],
+    # beyond the series cutoff, so each one takes the closed form.
     rng = np.random.default_rng(11)
     point = StiefelPoint(random_orthonormal(n, p, rng))
     for _ in range(200):
         h = _random_tangent(point, rng)
-        tau = 10.0 ** rng.uniform(-1.0, 1.0) / np.linalg.norm(h)
+        tau = 10.0 ** rng.uniform(-0.5, 1.0) / np.sqrt(np.linalg.norm(h.T @ h))
         point, fast = retract(point, h, tau)
         assert not fast
         assert point.feasibility <= 1e-13
+
+
+@pytest.mark.parametrize("n,p", [(60, 30), (30, 30)])
+def test_chained_series_retractions_do_not_drift(n, p):
+    # The series takes E from the formed step, so each step also corrects
+    # the feasibility error the last one left: 200 chained series steps,
+    # with ||E||_F log-uniform in [1e-8, 0.03], stay certified below 1e-13.
+    rng = np.random.default_rng(12)
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    for _ in range(200):
+        h = _random_tangent(point, rng)
+        tau = np.sqrt(10.0 ** rng.uniform(-8.0, np.log10(0.03)) / np.linalg.norm(h.T @ h))
+        point, fast = retract(point, h, tau)
+        assert fast
+        assert feasibility_error(point.x) <= 1e-13
 
 
 def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):

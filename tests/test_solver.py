@@ -118,12 +118,30 @@ def test_set_params_round_trip_and_unknown_key():
         {"max_iters": True},
         {"window": True},
         {"max_halvings": True},
+        {"alpha": True},
+        {"rho1": "1e-4"},
     ],
 )
 def test_invalid_parameters_raise_on_solve(bad):
     solver = StiefelSolver(**bad)
     with pytest.raises(ValueError):
         solver.solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
+
+
+def test_float_parameters_refuse_bool_by_name():
+    # The rule of the CLI flags and of the integer parameters: True is not 1.
+    for name in ("tau0", "eta", "tau_max"):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got True"):
+            StiefelSolver(**{name: True}).solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
+
+
+def test_float_parameters_accept_integers_and_numpy_floats():
+    x0 = np.array([[0.6], [0.8]])
+    a = StiefelSolver(tau0=1, eta=np.float64(0.85), rho1=np.float32(1e-4)).solve(
+        _toy_quadratic(), x0
+    )
+    b = StiefelSolver(tau0=1.0, eta=0.85, rho1=float(np.float32(1e-4))).solve(_toy_quadratic(), x0)
+    assert (a.nitr, a.nfe, a.termination, a.fval) == (b.nitr, b.nfe, b.termination, b.fval)
 
 
 def test_integer_parameters_accept_numpy_integers():
