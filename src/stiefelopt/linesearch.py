@@ -14,7 +14,6 @@ from .linalg import frobenius_inner, frobenius_norm
 from .manifold import StiefelPoint, retract
 
 __all__ = [
-    "BB_DENOM_TOL",
     "bb_steps",
     "clamp_step",
     "NonmonotoneState",
@@ -97,9 +96,10 @@ class LineSearchResult:
     ``accepted`` says whether a trial passed the sufficient-decrease test.
     If one did, ``tau``, ``point`` and ``value`` are its step, landing point
     and objective value; if the budget ran out, they are those of the
-    lowest-value trial (ties keep the first).  ``nfe`` counts every trial
-    the search evaluated, and ``fastpath`` says whether :func:`retract`
-    took its fast path to ``point``.
+    lowest-value trial (ties keep the first; a NaN value loses to any
+    other).  ``nfe`` counts every trial the search evaluated, and
+    ``fastpath`` says whether :func:`retract` took its fast path to
+    ``point``.
     """
 
     tau: float
@@ -176,7 +176,11 @@ def backtrack(
             return LineSearchResult(
                 tau=tau, point=candidate, value=f_val, nfe=nfe, fastpath=fastpath, accepted=True
             )
-        if best is None or f_val < best.value:
+        if (
+            best is None
+            or f_val < best.value
+            or (math.isnan(best.value) and not math.isnan(f_val))
+        ):
             best = LineSearchResult(
                 tau=tau, point=candidate, value=f_val, nfe=nfe, fastpath=fastpath, accepted=False
             )

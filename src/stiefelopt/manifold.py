@@ -193,11 +193,12 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     Otherwise the exact projection is computed in closed form.  For tangent
     ``H`` the Gram ``step^T step = I + tau^2 H^T H`` is at least ``I``, so
     the polar factor is unique at every ``tau``, and with
-    ``H^T H = V diag(lam) V^T`` it is ``step V diag((1 + tau^2 lam)^(-1/2)) V^T``:
-    one ``p x p`` symmetric eigendecomposition and O(n p^2) products, no
-    SVD.  The thin SVD of ``step`` is kept as a rescue for when the closed
-    form misses :data:`FEASIBILITY_TOL`, which takes ``tau*||H||`` of 1e6
-    or more.
+    ``H^T H = V diag(lam) V^T`` it is ``step V diag((1 + tau^2 lam)^(-1/2)) V^T``.
+    It is computed from one ``p x p`` symmetric eigendecomposition and
+    O(n p^2) products, no SVD: the singular values are read off the columns
+    of ``step V``, and a first-order polar correction follows.  The thin SVD
+    of ``step`` is kept as a rescue for when that factor misses
+    :data:`FEASIBILITY_TOL`, which takes ``tau*||H||`` of 1e6 or more.
 
     Parameters
     ----------

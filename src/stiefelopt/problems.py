@@ -33,7 +33,6 @@ from .linalg import (
     householder_reflector,
     random_orthonormal,
 )
-from .solver import kkt_residual
 
 __all__ = [
     "WoppProblem",
@@ -337,11 +336,6 @@ class EnergyProblem(_SharedWork):
         if y is None:
             y = self._solve_l(self.row_density(x))
         return lx + self.mu * y[:, None] * x
-
-    def kkt_residual(self, x: np.ndarray) -> float:
-        """The solver's stationarity residual :func:`~stiefelopt.solver.kkt_residual`
-        at a feasible ``x``."""
-        return kkt_residual(x, self.gradient(x))
 
     def to_dict(self) -> dict:
         return {

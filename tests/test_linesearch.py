@@ -189,24 +189,27 @@ def test_backtrack_exhaustion_carries_best_candidate():
 
 
 def test_backtrack_exhaustion_returns_the_lowest_value_trial():
-    values = iter([9.0, 6.0, 8.0, 7.0])
     point = StiefelPoint(np.array([[1.0], [0.0]]))
     direction = np.array([[0.0], [1.0]])
     tau0 = 1.0
-    result = backtrack(
-        _ValueOnly(lambda x: next(values)),
-        point,
-        direction,
-        slope=-1.0,
-        tau0=tau0,
-        c_ref=5.0,
-        max_halvings=3,
-    )
-    assert result.accepted is False
-    assert result.nfe == 4
-    assert result.value == 6.0
-    assert result.tau == 0.3 * tau0
-    np.testing.assert_array_equal(result.point.x, retract(point, direction, 0.3 * tau0)[0].x)
+    # (trial values, reference, lowest value): a NaN trial loses to any other.
+    cases = [([9.0, 6.0, 8.0, 7.0], 5.0, 6.0), ([math.nan, 12.0, 13.0, 14.0], 0.0, 12.0)]
+    for trials, c_ref, lowest in cases:
+        values = iter(trials)
+        result = backtrack(
+            _ValueOnly(lambda x: next(values)),
+            point,
+            direction,
+            slope=-1.0,
+            tau0=tau0,
+            c_ref=c_ref,
+            max_halvings=3,
+        )
+        assert result.accepted is False
+        assert result.nfe == 4
+        assert result.value == lowest
+        assert result.tau == 0.3 * tau0
+        np.testing.assert_array_equal(result.point.x, retract(point, direction, 0.3 * tau0)[0].x)
 
 
 def test_backtrack_validates_arguments():

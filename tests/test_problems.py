@@ -18,7 +18,8 @@ from stiefelopt import (
     WoppProblem,
     as_generator,
     fd_gradient,
-    kkt_residual,
+    frobenius_norm,
+    gradient_split,
     load_problem,
     problem_from_dict,
     random_orthonormal,
@@ -205,14 +206,6 @@ def test_energy_gradient_matches_oracle():
         _fd_check(problem, random_orthonormal(10, 3, rng))
 
 
-def test_energy_kkt_residual_matches_solver_measure():
-    problem = EnergyProblem(15, 4, mu=1.0)
-    x = random_orthonormal(15, 4, 7)
-    assert problem.kkt_residual(x) == pytest.approx(
-        kkt_residual(x, problem.gradient(x)), rel=1e-13
-    )
-
-
 def test_energy_validates_and_round_trips(tmp_path):
     with pytest.raises(ValueError, match="n >= k"):
         EnergyProblem(2, 3)
@@ -326,6 +319,32 @@ def test_gradient_after_value_is_bit_equal_to_a_fresh_gradient(name, shape, seed
     shared = problem.gradient(x)
     assert shared.tobytes() == fresh.tobytes()
     assert problem.gradient(x).tobytes() == fresh.tobytes()  # slot taken: recomputed
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["energy", "eig"]),
+    st.integers(1, 12).flatmap(lambda p: st.tuples(st.integers(p, 16), st.just(p))),
+    st.integers(0, 2**32 - 1),
+)
+def test_rotation_invariant_families_split_into_equal_components(name, shape, seed):
+    # F(XQ) = F(X) for orthogonal Q makes X^T G symmetric, so
+    # G - X G^T X = G - X X^T G: every alpha/beta mix points the same way.
+    n, p = shape
+    problem = _family(name, n, p, seed)
+    point = StiefelPoint(random_orthonormal(n, p, seed))
+    grad = problem.gradient(point.x)
+    split = gradient_split(point, grad)
+    assert frobenius_norm(split.canonical - split.complement) <= 1e-13 * frobenius_norm(grad)
+
+
+def test_wopp_split_components_differ():
+    # WOPP lacks that invariance: X^T G is not symmetric, so the mix matters.
+    problem = WoppProblem.generate(20, 4, ptype=1, seed=0)
+    point = StiefelPoint(random_orthonormal(20, 4, 1))
+    grad = problem.gradient(point.x)
+    split = gradient_split(point, grad)
+    assert frobenius_norm(split.canonical - split.complement) > 1e-2 * frobenius_norm(grad)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
