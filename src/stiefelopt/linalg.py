@@ -65,10 +65,9 @@ def as_generator(seed=None) -> np.random.Generator:
     """Return a ``numpy.random.Generator`` for ``seed``.
 
     ``seed`` may be ``None`` (fresh OS entropy), an integer, or an existing
-    ``Generator`` (returned unchanged so callers can share one stream).
+    ``Generator`` (``default_rng`` returns it unchanged, so callers can share
+    one stream).
     """
-    if isinstance(seed, np.random.Generator):
-        return seed
     return np.random.default_rng(seed)
 
 

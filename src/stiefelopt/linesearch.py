@@ -74,16 +74,17 @@ def nonmonotone_update(
         q' = eta * q + 1
         c' = (eta * q * c + f_new) / q'
 
-    ``eta = 0`` (monotone) sets ``c`` to ``f_new`` whatever the old ``c``;
-    ``eta = 1`` (boundary, useful in tests) makes ``c`` the running mean of
-    all accepted values.  A reference that is not finite (a start with
-    ``F(X_0) = inf``) restarts as at ``eta = 0``, with ``q = 1`` and
-    ``c = f_new``; averaged in, it would stay infinite and void every later
+    ``eta = 0`` (monotone) runs the same formula, which gives ``q' = 1`` and
+    ``c' = f_new`` whatever the old finite ``c``; ``eta = 1`` (boundary,
+    useful in tests) makes ``c`` the running mean of all accepted values.
+    Only a reference that is not finite (a start with ``F(X_0) = inf``)
+    restarts, with ``q = 1`` and ``c = f_new``; averaged in, it would stay
+    infinite (or turn NaN at ``eta = 0``) and void every later
     sufficient-decrease test.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if not eta or not math.isfinite(state.c):
+    if not math.isfinite(state.c):
         return NonmonotoneState(q=1.0, c=f_new)
     q_new = eta * state.q + 1.0
     return NonmonotoneState(q=q_new, c=(eta * state.q * state.c + f_new) / q_new)

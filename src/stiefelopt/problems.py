@@ -17,6 +17,7 @@ helpers (:func:`save_problem` / :func:`load_problem`).
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -254,17 +255,6 @@ class WoppProblem(_SharedWork):
             "solution": None if self.solution is None else self.solution.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WoppProblem":
-        return cls(
-            np.asarray(data["a"]),
-            np.asarray(data["c"]),
-            np.asarray(data["b"]),
-            ptype=data.get("ptype"),
-            solution=None if data.get("solution") is None else np.asarray(data["solution"]),
-            seed=data.get("seed"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Coupled total energy with a tridiagonal stiffness matrix
@@ -320,21 +310,13 @@ class EnergyProblem(_SharedWork):
 
     def value(self, x: np.ndarray) -> float:
         lx = self._apply_l(x)
-        quad = 0.5 * float(np.sum(x * lx))
-        if self.mu == 0.0:
-            self._keep(x, (lx, None))
-            return quad
         rho = self.row_density(x)
         y = self._solve_l(rho)
         self._keep(x, (lx, y))
-        return quad + 0.25 * self.mu * float(rho @ y)
+        return 0.5 * float(np.sum(x * lx)) + 0.25 * self.mu * float(rho @ y)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        lx, y = self._take(x) or (self._apply_l(x), None)
-        if self.mu == 0.0:
-            return lx
-        if y is None:
-            y = self._solve_l(self.row_density(x))
+        lx, y = self._take(x) or (self._apply_l(x), self._solve_l(self.row_density(x)))
         return lx + self.mu * y[:, None] * x
 
     def to_dict(self) -> dict:
@@ -344,10 +326,6 @@ class EnergyProblem(_SharedWork):
             "k": self.shape[1],
             "mu": self.mu,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyProblem":
-        return cls(data["n"], data["k"], data["mu"])
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +414,6 @@ class EigProblem(_SharedWork):
             else self.oracle_eigs.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EigProblem":
-        return cls(
-            np.asarray(data["a"]),
-            data["p"],
-            oracle_eigs=data.get("oracle_eigs"),
-            seed=data.get("seed"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -454,11 +423,14 @@ _FAMILIES = {"wopp": WoppProblem, "energy": EnergyProblem, "eig": EigProblem}
 
 
 def problem_from_dict(data: dict):
-    """Rebuild a problem from its :meth:`to_dict` form."""
+    """Rebuild a problem from its :meth:`to_dict` form: the family's constructor
+    called with the keys named after its parameters.  Each must be present (a
+    missing one raises ``KeyError`` naming it); other keys are ignored."""
     family = data.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
-    return _FAMILIES[family].from_dict(data)
+    cls = _FAMILIES[family]
+    return cls(**{name: data[name] for name in inspect.signature(cls).parameters})
 
 
 def save_problem(problem, path) -> None:

@@ -26,7 +26,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .directions import descent_derivative, gradient_split
-from .linalg import as_generator, frobenius_norm, random_orthonormal
+from .linalg import frobenius_norm, random_orthonormal
 from .linesearch import (
     NonmonotoneState,
     backtrack,
@@ -376,7 +376,7 @@ class StiefelSolver:
         self._validate_params()
         n, p = objective.shape
         if x0 is None:
-            point = StiefelPoint(random_orthonormal(n, p, as_generator(rng)))
+            point = StiefelPoint(random_orthonormal(n, p, rng))
         elif isinstance(x0, StiefelPoint):
             point = x0
         else:
@@ -390,7 +390,7 @@ class StiefelSolver:
 
         start = time.perf_counter()
         f_val = float(objective.value(point.x))
-        nfe, nge = 1, 1
+        nfe = 1
         split = gradient_split(point, objective.gradient(point.x))
         direction = self._mix(split)
         state = NonmonotoneState(q=1.0, c=f_val)
@@ -469,7 +469,6 @@ class StiefelSolver:
             step_mat = new_point.x - point.x
             relx = frobenius_norm(step_mat) / sqrt_n
             relf = abs(f_val - ls.value) / (abs(f_val) + 1.0)
-            nge += 1
             new_split = gradient_split(new_point, objective.gradient(new_point.x))
             new_direction = self._mix(new_split)
             if self.bb_gradient == "canonical":
@@ -486,7 +485,7 @@ class StiefelSolver:
         return SolverReport(
             nitr=k,
             nfe=nfe,
-            nge=nge,
+            nge=len(history),  # one gradient per row
             time_s=elapsed,
             fval=f_val,
             nrmg=split.canonical_norm,

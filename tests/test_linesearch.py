@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stiefelopt import (
     NonmonotoneState,
@@ -91,9 +93,15 @@ def test_nonmonotone_update_hand_values():
     assert state.c == pytest.approx(12.5 / 1.85)  # (0.85*10 + 4) / 1.85
 
 
-def test_nonmonotone_update_eta_zero_collapses_to_newest():
-    state = nonmonotone_update(NonmonotoneState(q=3.0, c=10.0), 4.0, eta=0.0)
-    assert (state.q, state.c) == (1.0, 4.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(c=_finite, q=st.floats(min_value=1.0, allow_infinity=False), f_new=_finite)
+@example(c=10.0, q=3.0, f_new=4.0)
+@example(c=-2.5e4, q=1.0, f_new=-2.6e4)  # eig-monotone's references are negative
+def test_nonmonotone_update_eta_zero_collapses_to_newest(c, q, f_new):
+    # The averaged formula itself gives q = 0*q + 1 and c = (+-0 + f_new) / 1.
+    assert nonmonotone_update(NonmonotoneState(q, c), f_new, 0.0) == NonmonotoneState(1.0, f_new)
 
 
 def test_nonmonotone_update_eta_zero_forgets_an_infinite_reference():

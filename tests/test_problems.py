@@ -287,6 +287,17 @@ def test_problem_from_dict_rejects_unknown_family():
         problem_from_dict({"family": "lasso"})
     data = json.loads(json.dumps(EnergyProblem(4, 2).to_dict()))
     assert isinstance(problem_from_dict(data), EnergyProblem)
+    # Every constructor argument must be saved; a key that is not one is ignored.
+    for problem, key in (
+        (EnergyProblem(4, 2), "mu"),
+        (WoppProblem.generate(4, 2, seed=3), "seed"),
+        (EigProblem.generate(4, 2, seed=5), "p"),
+    ):
+        data = json.loads(json.dumps(problem.to_dict()))
+        assert type(problem_from_dict({**data, "note": "extra"})) is type(problem)
+        del data[key]
+        with pytest.raises(KeyError, match=f"^'{key}'$"):
+            problem_from_dict(data)
 
 
 # -- work shared between value and gradient ----------------------------------------------
