@@ -252,6 +252,34 @@ def test_eig_generated_instances_are_psd_with_oracle():
     assert EigProblem.generate(5, 2, with_oracle=False, seed=0).oracle_eigs is None
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 12), st.integers(-16, -12), st.integers(0, 2**32 - 1))
+def test_eig_matrix_is_stored_exactly_symmetric(n, exponent, seed):
+    # Products with A are formed as (X^T A)^T, which is A X only when A == A^T
+    # to the bit, also for input that is symmetric only within the tolerance.
+    rng = as_generator(seed)
+    m = rng.standard_normal((n, n))
+    m = m + m.T + 10.0**exponent * rng.standard_normal((n, n))
+    a = EigProblem(m, 1).a
+    assert np.array_equal(a, a.T)
+    generated = EigProblem.generate(n, 1, rng=rng, with_oracle=False).a
+    assert np.array_equal(generated, generated.T)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([(16, 12), (100, 10)]), st.integers(0, 2**32 - 1))
+def test_eig_value_and_gradient_match_a_times_x(shape, seed):
+    # On OpenBLAS, (X^T A)^T and A X differ in their last bits at these shapes.
+    n, p = shape
+    problem = EigProblem.generate(n, p, with_oracle=False, seed=seed)
+    x = StiefelPoint(random_orthonormal(n, p, seed)).x
+    ax = problem.a @ x
+    expected = -np.sum(x * ax)
+    assert abs(problem.value(x) - expected) <= 1e-13 * abs(expected)
+    for grad in (problem.gradient(x), problem.gradient(x.copy())):  # memo hit, then miss
+        assert frobenius_norm(grad + 2.0 * ax) <= 1e-13 * frobenius_norm(2.0 * ax)
+
+
 def test_eig_gradient_matches_oracle():
     rng = as_generator(10)
     problem = EigProblem.generate(9, 3, rng=rng)

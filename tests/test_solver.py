@@ -593,6 +593,10 @@ class _CountingMatrix(np.ndarray):
         type(self).products += 1
         return np.matmul(self.view(np.ndarray), other)
 
+    def __rmatmul__(self, other):
+        type(self).products += 1
+        return np.matmul(other, self.view(np.ndarray))
+
 
 def test_eig_solve_takes_one_product_with_a_per_value(monkeypatch):
     # The gradient reuses the A @ X its value just formed, so a solve costs
