@@ -8,8 +8,8 @@ Conventions
   :func:`as_matrix` (2-D, float64, C order, finite) runs on solver and
   problem inputs, on the objective's gradient, on a retraction's direction
   and in :func:`thin_svd`.  The arithmetic helpers :func:`frobenius_inner`
-  and :func:`frobenius_norm` check only shapes, so the solve loop does not
-  re-scan the arrays it has built; a NaN input gives a NaN result.
+  and :func:`frobenius_norm` (one BLAS ``dot``) check only shapes, so the
+  solve loop does not re-scan the arrays it has built; NaN in, NaN out.
 * Randomness flows through ``numpy.random.Generator`` seeded with PCG64
   (``numpy.random.default_rng``), so a given integer seed reproduces the same
   matrices on every platform for a fixed numpy release.
@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +57,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -84,11 +85,12 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm ``||A||_F = sqrt(<A, A>)`` of a 2-D array."""
+    """Frobenius norm ``||A||_F`` of a 2-D array, bit-equal to ``numpy.linalg.norm(a)``."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"a must be 2-D, got ndim={a.ndim}")
-    return float(np.linalg.norm(a))
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 class ThinSVD(NamedTuple):

@@ -72,7 +72,8 @@ def feasibility_error(x) -> float:
     if n < p:
         raise ValueError(f"expected rows >= cols, got shape {x.shape}")
     gram = x.T @ x
-    return float(np.linalg.norm(gram - np.eye(p)))
+    gram.flat[:: p + 1] -= 1.0
+    return frobenius_norm(gram)
 
 
 class StiefelPoint:
@@ -81,7 +82,7 @@ class StiefelPoint:
     Parameters
     ----------
     x : array_like, shape (n, p)
-        Matrix with (numerically) orthonormal columns.
+        Matrix with (numerically) orthonormal columns; validated and copied.
     feasibility : float, optional
         Precomputed ``||X^T X - I||_F``; recomputed when omitted.  Either
         way the value must not exceed :data:`FEASIBILITY_TOL` or
@@ -103,12 +104,19 @@ class StiefelPoint:
         n, p = arr.shape
         if n < p:
             raise ValueError(f"expected rows >= cols, got shape {arr.shape}")
-        feas = feasibility_error(arr) if feasibility is None else float(feasibility)
+        self._certify(arr, feasibility_error(arr) if feasibility is None else float(feasibility))
+
+    @classmethod
+    def _fresh(cls, arr: np.ndarray, feas: float) -> StiefelPoint:
+        """Certify an array :func:`retract` just formed, unscanned: NaN or inf fails ``feas``."""
+        point = cls.__new__(cls)
+        point._certify(arr, feas)
+        return point
+
+    def _certify(self, arr: np.ndarray, feas: float) -> None:
         if not feas <= FEASIBILITY_TOL:
-            raise FeasibilityError(
-                f"matrix is not feasible: ||X^T X - I||_F = {feas:.3e} "
-                f"> {FEASIBILITY_TOL:.0e}"
-            )
+            msg = f"matrix is not feasible: ||X^T X - I||_F = {feas:.3e} > {FEASIBILITY_TOL:.0e}"
+            raise FeasibilityError(msg)
         arr.setflags(write=False)
         self.x = arr
         self.feasibility = feas
@@ -238,7 +246,7 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
         candidate = step @ _inverse_sqrt_series(e, degree)
         feas = feasibility_error(candidate)
         if feas < TAYLOR_ACCEPT_TOL:
-            return StiefelPoint(candidate, feasibility=feas), True
+            return StiefelPoint._fresh(candidate, feas), True
     # (X - tau*H)^T (X - tau*H) = I + tau^2 H^T H, so the eigenvectors V of
     # H^T H are right singular vectors of the step and its polar factor is
     # (step V) diag(1/sigma) V^T.  sigma is read off the columns of step V,
@@ -258,7 +266,7 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     polar = w @ (c @ v.T)
     feas = feasibility_error(polar)
     if feas <= FEASIBILITY_TOL:
-        return StiefelPoint(polar, feasibility=feas), False
+        return StiefelPoint._fresh(polar, feas), False
     # Certified rescue: at tau*||H|| beyond about 1e9 (1e6 for a rank-deficient
     # H) the eigenvectors are not accurate enough for the certificate.
     u, _, v = thin_svd(step)

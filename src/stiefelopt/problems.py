@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, lapack
 
 from .linalg import (
     as_generator,
@@ -269,8 +269,8 @@ class EnergyProblem(_SharedWork):
     density of the ``(n, k)`` variable, and ``mu >= 0`` the coupling weight.
     ``mu = 0`` reduces to the plain quadratic form.
 
-    The Cholesky factorization of ``L`` is computed once in banded form and
-    reused by every evaluation.
+    The Cholesky factorization of ``L`` is computed once in banded form; each
+    ``L^{-1} rho`` is one LAPACK ``pbtrs`` call on it, as in ``cho_solve_banded``.
     """
 
     def __init__(self, n: int, k: int, mu: float = 1.0):
@@ -302,7 +302,12 @@ class EnergyProblem(_SharedWork):
         return lx
 
     def _solve_l(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._chol, False), rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        y, info = lapack.dpbtrs(self._chol, rhs)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
+        return y
 
     def row_density(self, x: np.ndarray) -> np.ndarray:
         """``rho(X) = diag(X X^T)``, the vector of squared row norms."""

@@ -1,9 +1,13 @@
 """Dense linear-algebra helpers: coercion, inner products, thin SVD,
 random orthonormal draws, Householder reflectors."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelopt import (
     as_generator,
@@ -85,6 +89,36 @@ def test_frobenius_norm_hand_value_and_consistency():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 2))
     assert frobenius_norm(a) == pytest.approx(np.sqrt(frobenius_inner(a, a)), rel=1e-14)
+
+
+@st.composite
+def _norm_inputs(draw):
+    """A 2-D array in C order, F order, as a strided view or as a transposed
+    view, with entries scaled by 10**k and, sometimes, one NaN or +-inf planted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    base = rng.standard_normal((2 * rows, 3 * cols)) * 10.0 ** draw(st.integers(-150, 150))
+    layout = draw(st.sampled_from(["C", "F", "strided", "transposed"]))
+    if layout == "strided":
+        a = base[::2, 1::3]
+    elif layout == "transposed":
+        a = base[:rows, :cols].T
+    else:
+        a = np.array(base[:rows, :cols], order=layout)
+    special = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if special is not None:
+        a[draw(st.integers(0, a.shape[0] - 1)), draw(st.integers(0, a.shape[1] - 1))] = special
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(_norm_inputs())
+def test_frobenius_norm_is_bit_equal_to_numpy_norm(a):
+    # One dot of the array flattened in memory order: numpy.linalg.norm's own
+    # path for a real array and no ord, so the bits agree whatever the layout.
+    got, want = frobenius_norm(a), float(np.linalg.norm(a))
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # -- thin SVD ------------------------------------------------------------------

@@ -48,6 +48,17 @@ def test_feasibility_error_zero_on_orthonormal():
     assert feasibility_error(random_orthonormal(8, 3, 0)) <= 1e-14
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(-16, 0), st.integers(0, 2**32 - 1))
+def test_feasibility_error_is_bit_equal_to_the_dense_formula(n, p, exponent, seed):
+    # Subtracting I on the diagonal in place gives the same bits as forming
+    # X^T X - eye(p): the off-diagonal entries lose an exact 0.
+    p = min(n, p)
+    rng = np.random.default_rng(seed)
+    x = random_orthonormal(n, p, rng) + 10.0**exponent * rng.standard_normal((n, p))
+    assert feasibility_error(x) == float(np.linalg.norm(x.T @ x - np.eye(p)))
+
+
 def test_feasibility_error_rejects_wide():
     with pytest.raises(ValueError, match="rows >= cols"):
         feasibility_error(np.zeros((2, 3)))
@@ -281,13 +292,45 @@ def _tangent_steps(draw):
     return point, h, 10.0 ** rng.uniform(-8.0, 15.0)
 
 
+def _assert_certified_and_owned(point: StiefelPoint):
+    """The point's array is read-only, C-ordered and owns its data (the
+    problems' memo keeps only such arrays), and its certificate is exact."""
+    x = point.x
+    assert not x.flags.writeable and x.flags.c_contiguous and x.base is None
+    assert x.dtype == np.float64
+    assert point.feasibility == feasibility_error(x) <= FEASIBILITY_TOL
+
+
 @settings(deadline=None)
 @given(_tangent_steps())
 def test_retract_always_returns_a_certified_point(case):
     point, h, tau = case
     new, _ = retract(point, h, tau)
     assert new.shape == point.shape
-    assert feasibility_error(new.x) <= FEASIBILITY_TOL
+    _assert_certified_and_owned(new)
+
+
+@pytest.mark.parametrize("branch", ["series", "polar", "svd"])
+def test_each_retract_branch_returns_a_certified_owned_point(branch, monkeypatch):
+    # The series and polar candidates are certified in place, the SVD
+    # rescue's result is copied; every branch hands back the same kind of array.
+    svd_calls = []
+
+    def counting(x):
+        svd_calls.append(x.shape)
+        return thin_svd(x)
+
+    monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting)
+    rng = np.random.default_rng(3)
+    point = StiefelPoint(random_orthonormal(3, 3, rng))
+    s = rng.standard_normal((3, 3))
+    h = point.x @ (s - s.T)
+    h /= np.linalg.norm(h)
+    tau = {"series": 1e-3, "polar": 1.0, "svd": 1e11}[branch]
+    new, fast = retract(point, h, tau)
+    assert fast == (branch == "series")
+    assert len(svd_calls) == (branch == "svd")
+    _assert_certified_and_owned(new)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded
 
 from stiefelopt import (
     CallableObjective,
@@ -189,6 +190,30 @@ def test_energy_stencil_and_banded_solve_match_dense_oracles():
     rho = problem.row_density(x)
     npt.assert_allclose(rho, np.diag(x @ x.T), atol=1e-12)
     npt.assert_allclose(problem._solve_l(rho), np.linalg.solve(lap, rho), atol=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 300), st.integers(-8, 8), st.integers(0, 2**32 - 1))
+def test_energy_banded_solve_is_bit_equal_to_cho_solve_banded(n, exponent, seed):
+    # _solve_l is the LAPACK pbtrs call cho_solve_banded ends in.
+    problem = EnergyProblem(n, 1)
+    rhs = 10.0**exponent * np.random.default_rng(seed).standard_normal(n)
+    npt.assert_array_equal(problem._solve_l(rhs), cho_solve_banded((problem._chol, False), rhs))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_energy_refuses_a_non_finite_point(bad):
+    # As cho_solve_banded's check_finite did: value, and a gradient that
+    # finds nothing kept (a writable x is never kept), raise ValueError.
+    problem = EnergyProblem(20, 3)
+    x = random_orthonormal(20, 3, 1)
+    x[7, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        problem.value(x)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        problem.gradient(x)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        problem._solve_l(problem.row_density(x))
 
 
 def test_energy_mu_zero_is_the_plain_quadratic():

@@ -495,24 +495,41 @@ def test_iterations_build_no_n_by_n_array():
 
 
 def test_iterations_validate_arrays_a_bounded_number_of_times(monkeypatch):
-    # Arrays are validated where they enter (the objective's gradient, the
-    # retraction's direction, each new StiefelPoint), not again by every
-    # helper the loop passes its own arrays to.
+    # Arrays are validated once, where they enter: the start point, each
+    # gradient from the objective and each trial's direction.  The points
+    # retract forms are certified in place, not re-scanned or copied, so the
+    # only StiefelPoint built by the constructor is the start.
     original = stiefelopt.linalg.as_matrix
-    calls = []
+    calls, inits, svds = [], [], []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
+
+    original_init = StiefelPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        original_init(self, *args, **kwargs)
+
+    original_svd = stiefelopt.manifold.thin_svd
+
+    def counting_svd(x):
+        svds.append(x.shape)
+        return original_svd(x)
 
     problem = EnergyProblem(200, 5)
     x0 = random_orthonormal(200, 5, 0)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "stiefelopt" and getattr(module, "as_matrix", None) is original:
             monkeypatch.setattr(module, "as_matrix", counting)
+    monkeypatch.setattr(StiefelPoint, "__init__", counting_init)
+    monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting_svd)
     report = StiefelSolver(max_iters=5).solve(problem, x0)
-    assert report.nitr == 5
-    assert len(calls) <= 6 * report.nitr
+    assert report.nitr == 5 and svds == []  # no SVD rescue
+    # report.nfe counts F(X_0) and every trial, report.nge every gradient.
+    assert len(calls) == report.nge + report.nfe
+    assert len(inits) == 1
 
 
 def test_loop_shape_stopping_bb_and_callback(monkeypatch):
