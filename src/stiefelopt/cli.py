@@ -38,7 +38,7 @@ _INSTANCE_DEFAULTS = {
 #: Allowed values of the settings that have them, for flags and config alike.
 _CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
 _RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
-_AGG_COLUMNS = ["nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
+_AGG_COLUMNS = _RUN_COLUMNS[2:]  # all but sim and seed
 
 
 def _fmt(value) -> str:
@@ -61,7 +61,8 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def _build_instance(cfg: dict, seed: int):
-    """One seeded (problem, x0) pair; the instance and the start share a stream."""
+    """One seeded ``(problem, x0, naming)``: the instance and the start share a
+    stream, and ``naming`` is the ``instance:`` line that describes them."""
     rng = as_generator(seed)
     family = cfg["family"]
     n, p = cfg["n"], cfg["p"]
@@ -70,12 +71,18 @@ def _build_instance(cfg: dict, seed: int):
             n, p, ptype=cfg["ptype"], rng=rng,
             known_solution=cfg["known_solution"], seed=seed,
         )
+        naming = (
+            f"instance: wopp ptype={cfg['ptype']} on St({n}, {p}) "
+            f"[procrustes naming: m={n}, n={p}, A {n}x{n}, C {p}x{p}, B {n}x{p}]"
+        )
     elif family == "energy":
         problem = EnergyProblem(n, p, mu=cfg["mu"])
+        naming = f"instance: energy on St({n}, {p}) with mu={cfg['mu']}"
     else:
         problem = EigProblem.generate(n, p, rng=rng, seed=seed)
+        naming = f"instance: eig on St({n}, {p})"
     x0 = random_orthonormal(n, p, rng)
-    return problem, x0
+    return problem, x0, naming
 
 
 def _oracle_error(problem, report):
@@ -85,19 +92,6 @@ def _oracle_error(problem, report):
     if isinstance(problem, WoppProblem) and problem.solution is not None:
         return report.fval  # known optimum value is 0
     return None
-
-
-def _echo_naming(cfg) -> None:
-    n, p = cfg["n"], cfg["p"]
-    if cfg["family"] == "wopp":
-        print(
-            f"instance: wopp ptype={cfg['ptype']} on St({n}, {p}) "
-            f"[procrustes naming: m={n}, n={p}, A {n}x{n}, C {p}x{p}, B {n}x{p}]"
-        )
-    elif cfg["family"] == "energy":
-        print(f"instance: energy on St({n}, {p}) with mu={cfg['mu']}")
-    else:
-        print(f"instance: eig on St({n}, {p})")
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -120,9 +114,9 @@ def _run_batch(cfg: dict, solver: StiefelSolver, label: str = ""):
     rows, reports = [], []
     for sim in range(cfg["sims"]):
         sim_seed = cfg["seed"] + sim
-        problem, x0 = _build_instance(cfg, sim_seed)
+        problem, x0, naming = _build_instance(cfg, sim_seed)
         if sim == 0:
-            _echo_naming(cfg)
+            print(naming)
         report = solver.solve(problem, x0)
         reports.append(report)
         rows.append(

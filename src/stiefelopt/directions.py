@@ -73,17 +73,24 @@ def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
     )
 
 
+def _mix(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
+    """The mixed direction's one formula, unchecked: the solver calls it
+    directly to admit the sweep setting ``alpha = 0``."""
+    return alpha * split.canonical + beta * split.complement
+
+
 def mixed_direction(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
     """Descent direction ``H = alpha*canonical + beta*complement``.
 
     ``alpha > 0`` and ``beta >= 0`` are required: that is the regime with a
-    guaranteed negative directional derivative.
+    guaranteed negative directional derivative.  The formula itself is
+    ``_mix``'s, which the solver shares.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return alpha * split.canonical + beta * split.complement
+    return _mix(split, alpha, beta)
 
 
 def descent_derivative(split: GradientSplit, alpha: float, beta: float) -> float:

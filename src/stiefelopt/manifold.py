@@ -82,12 +82,11 @@ class StiefelPoint:
     Parameters
     ----------
     x : array_like, shape (n, p)
-        Matrix with (numerically) orthonormal columns; validated and copied.
-    feasibility : float, optional
-        Precomputed ``||X^T X - I||_F``; recomputed when omitted.  Either
-        way the value must not exceed :data:`FEASIBILITY_TOL` or
-        :class:`FeasibilityError` is raised — the constructor rejects
-        rather than silently re-projecting (use :func:`project` for that).
+        Matrix with (numerically) orthonormal columns.  It is always
+        validated, copied and measured: ``||X^T X - I||_F`` must not exceed
+        :data:`FEASIBILITY_TOL` or :class:`FeasibilityError` is raised — the
+        constructor rejects rather than silently re-projecting (use
+        :func:`project` for that).  No caller can supply the measurement.
 
     Attributes
     ----------
@@ -99,12 +98,9 @@ class StiefelPoint:
 
     __slots__ = ("x", "feasibility")
 
-    def __init__(self, x, feasibility: float | None = None):
+    def __init__(self, x):
         arr = np.array(as_matrix(x, "x"))  # private copy, caller keeps theirs
-        n, p = arr.shape
-        if n < p:
-            raise ValueError(f"expected rows >= cols, got shape {arr.shape}")
-        self._certify(arr, feasibility_error(arr) if feasibility is None else float(feasibility))
+        self._certify(arr, feasibility_error(arr))  # refuses n < p
 
     @classmethod
     def _fresh(cls, arr: np.ndarray, feas: float) -> StiefelPoint:

@@ -383,8 +383,7 @@ class EigProblem(_SharedWork):
         symmetric eigensolver for later scoring."""
         rng = as_generator(seed if rng is None else rng)
         m = rng.standard_normal((n, n))
-        a = m.T @ m
-        a = 0.5 * (a + a.T)
+        a = m.T @ m  # exactly symmetric as numpy forms it
         oracle = None
         if with_oracle:
             eigs = np.linalg.eigvalsh(a)

@@ -25,7 +25,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .directions import descent_derivative, gradient_split
+from .directions import _mix, descent_derivative, gradient_split
 from .linalg import frobenius_norm, random_orthonormal
 from .linesearch import (
     NonmonotoneState,
@@ -312,10 +312,11 @@ class StiefelSolver:
     def _validate_params(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and (
-                isinstance(value, bool) or not isinstance(value, Real)
-            ):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            if isinstance(f.default, float):
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise ValueError(f"{f.name} must be a real number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
         if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta > 0):
             raise ValueError(
                 f"need alpha >= 0, beta >= 0, alpha + beta > 0; "
@@ -343,10 +344,6 @@ class StiefelSolver:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
     # -- main loop ----------------------------------------------------------
-
-    def _mix(self, split) -> np.ndarray:
-        """:func:`mixed_direction`, but admitting the sweep setting ``alpha = 0``."""
-        return self.alpha * split.canonical + self.beta * split.complement
 
     def solve(
         self,
@@ -392,7 +389,7 @@ class StiefelSolver:
         f_val = float(objective.value(point.x))
         nfe = 1
         split = gradient_split(point, objective.gradient(point.x))
-        direction = self._mix(split)
+        direction = _mix(split, self.alpha, self.beta)
         state = NonmonotoneState(q=1.0, c=f_val)
         history: list[IterationRecord] = []
         k = 0
@@ -470,7 +467,7 @@ class StiefelSolver:
             relx = frobenius_norm(step_mat) / sqrt_n
             relf = abs(f_val - ls.value) / (abs(f_val) + 1.0)
             new_split = gradient_split(new_point, objective.gradient(new_point.x))
-            new_direction = self._mix(new_split)
+            new_direction = _mix(new_split, self.alpha, self.beta)
             if self.bb_gradient == "canonical":
                 resid = new_split.canonical - split.canonical
             else:

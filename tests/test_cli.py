@@ -329,6 +329,18 @@ def test_bad_settings_are_refused_before_any_output(tmp_path, capsys, settings, 
     assert not out.exists()
 
 
+def test_infinite_solver_setting_is_refused_by_name(tmp_path, capsys):
+    # "--alpha inf" parses as a float; the solver's check names the setting
+    # before any step is taken or any file written.
+    out = tmp_path / "out"
+    code = main(["run", "--alpha", "inf", "--out", str(out)])
+    error = capsys.readouterr().err
+    assert code == 1
+    assert error.count("error:") == 1
+    assert error.startswith("error: alpha must be finite, got inf")
+    assert not out.exists()
+
+
 def _without_timing_or_out(out):
     """runs.csv rows and summary.json of ``out``, minus ``time_s`` and ``out``."""
     header, rows = _read_csv(out / "runs.csv")

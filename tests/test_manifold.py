@@ -97,6 +97,15 @@ def test_point_rejects_wide():
         StiefelPoint(np.eye(2, 3))
 
 
+def test_point_always_measures_its_certificate():
+    # X = ones(4, 2) has X^T X - I = [[3, 4], [4, 3]], of norm sqrt(50); no
+    # caller's word can stand in for that measurement.
+    with pytest.raises(TypeError):
+        StiefelPoint(np.ones((4, 2)), feasibility=0.0)
+    with pytest.raises(FeasibilityError, match="7.071e"):
+        StiefelPoint(np.ones((4, 2)))
+
+
 # -- project -----------------------------------------------------------------------
 
 
@@ -417,6 +426,13 @@ def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):
     assert not fast and len(calls) == 1
     assert feasibility_error(new.x) <= FEASIBILITY_TOL
     npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O compiles the assertion out")
+def test_retract_asserts_a_tangent_direction():
+    point = StiefelPoint(random_orthonormal(5, 2, 3))
+    with pytest.raises(AssertionError, match="non-tangent"):
+        retract(point, point.x, 0.1)  # X^T X + X^T X = 2 I, far from 0
 
 
 def test_retract_validates_inputs():

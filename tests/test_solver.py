@@ -120,6 +120,13 @@ def test_set_params_round_trip_and_unknown_key():
         {"max_halvings": True},
         {"alpha": True},
         {"rho1": "1e-4"},
+        {"alpha": math.inf},
+        {"beta": math.inf},
+        {"step_init": "fixed", "tau0": math.inf},
+        {"tau_max": math.inf},
+        {"epsilon": math.inf},
+        {"tolx": math.inf},
+        {"tolf": math.inf},
     ],
 )
 def test_invalid_parameters_raise_on_solve(bad):
@@ -133,6 +140,14 @@ def test_float_parameters_refuse_bool_by_name():
     for name in ("tau0", "eta", "tau_max"):
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got True"):
             StiefelSolver(**{name: True}).solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "tau0", "tau_max", "epsilon", "tolx", "tolf"])
+def test_float_parameters_refuse_infinity_by_name(name):
+    # Refused before the solve starts, not later as a non-finite direction or step.
+    solver = StiefelSolver(**{name: math.inf, "step_init": "fixed"})
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        solver.solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
 
 
 def test_float_parameters_accept_integers_and_numpy_floats():
