@@ -246,7 +246,8 @@ def _typed_like(value, default) -> bool:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Merge defaults, the JSON config file, and explicit flags; check each setting."""
+    """Merge defaults, the JSON config file, and explicit flags; check each
+    setting, the solver's ranges included, before any instance is built."""
     defaults = {**_INSTANCE_DEFAULTS, **{f.name: f.default for f in fields(StiefelSolver)}}
     merged = dict(defaults)
     if args.config:
@@ -273,6 +274,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     if not (alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     cfg = {key: merged.pop(key) for key in _INSTANCE_DEFAULTS}
+    StiefelSolver(**merged)._validate_params()
     return cfg, merged
 
 
@@ -293,9 +295,9 @@ def main(argv=None) -> int:
             sub.add_argument("--alphas", type=_parse_alphas, default=None,
                              help="comma list '0,0.5,1' or range '0:0.05:1'")
     args = parser.parse_args(argv)
-    cfg, solver_params = _resolve_config(args)
     command = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}[args.command]
     try:
+        cfg, solver_params = _resolve_config(args)
         return command(cfg, solver_params, Path(cfg["out"]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,8 +75,12 @@ def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
 
 def _mix(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
     """The mixed direction's one formula, unchecked: the solver calls it
-    directly to admit the sweep setting ``alpha = 0``."""
-    return alpha * split.canonical + beta * split.complement
+    directly to admit the sweep setting ``alpha = 0``.  Accumulating in place
+    holds two ``n x p`` temporaries instead of three, with the bits of
+    ``alpha * canonical + beta * complement``."""
+    d = alpha * split.canonical
+    d += beta * split.complement
+    return d
 
 
 def mixed_direction(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:

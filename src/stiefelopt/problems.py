@@ -403,7 +403,7 @@ class EigProblem(_SharedWork):
         ax = self._take(x)
         if ax is None:
             ax = self._times_a(x)
-        return -2.0 * ax
+        return np.multiply(ax, -2.0, order="C")  # ax is F-ordered; the split wants C
 
     def relative_error(self, x: np.ndarray) -> float:
         """``|sum of top-p oracle eigenvalues - tr(X^T A X)| / |tr(X^T A X)|``."""

@@ -305,6 +305,7 @@ _BAD_SETTINGS = {
     "ptype-unknown": ({"ptype": 7}, "ptype must be one of"),
     "flags-p-above-n": (("--n", "5", "--p", "6"), "need m >= n"),
     "step_init-auto": ({"step_init": "auto"}, "step_init must be one of"),
+    "flags-delta-above-one": (("--delta", "2"), "delta must be in (0, 1), got 2.0"),
 }
 
 

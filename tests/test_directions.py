@@ -21,6 +21,8 @@ from stiefelopt import (
     retract,
 )
 
+from stiefelopt.directions import GradientSplit, _mix
+
 from helpers import skew_factor
 
 
@@ -126,6 +128,31 @@ def test_mixed_direction_combines_and_validates():
         mixed_direction(split, -0.5, 1.0)
     with pytest.raises(ValueError, match="beta"):
         mixed_direction(split, 1.0, -0.1)
+
+
+@st.composite
+def _mix_cases(draw):
+    """Two parts (C- or F-ordered, some entries signed zeros) and weights
+    that include 0 and -0."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(2):
+        part = rng.standard_normal((n, p))
+        part[rng.random((n, p)) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+        parts.append(np.asfortranarray(part) if draw(st.booleans()) else part)
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-4.0, 4.0))
+    return parts, draw(weight), draw(weight)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_mix_cases())
+def test_mix_is_bit_equal_to_the_plain_formula(case):
+    (canonical, complement), alpha, beta = case
+    split = GradientSplit(canonical, complement, 0.0, 0.0)  # _mix reads only the parts
+    expected = alpha * canonical + beta * complement
+    assert _mix(split, alpha, beta).tobytes() == expected.tobytes()
 
 
 # -- descent derivative -----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Feasible-set machinery: feasibility measure, certified points, nearest-point
 projection, tangency test, and the projected retraction with its fast path."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -172,7 +174,8 @@ def test_retract_hand_case_falls_back_to_projection():
     # X = (1,0), H = (0,1): the step (1, -tau) has Gram error E = tau^2 and
     # projects to (1, -tau)/sqrt(1 + tau^2).  At tau = 0.1, E = 0.01 is
     # below the series cutoff, so the fast path returns the projection;
-    # at tau = 0.3, E = 0.09 is beyond it and the eigh polar factor does.
+    # at tau = 0.3, E = 0.09 is beyond it and the polar factor from the
+    # eigendecomposition of the Gram matrix 1 + tau^2 does.
     point = StiefelPoint(np.array([[1.0], [0.0]]))
     h = np.array([[0.0], [1.0]])
     for tau, series in [(0.1, True), (0.3, False)]:
@@ -362,9 +365,11 @@ def _exact_steps(draw):
 def test_retract_exact_branch_is_the_projection(case):
     # Every branch, the series as well as the closed form, returns the polar
     # factor of X - tau*H, the point project() takes from the SVD.  For the
-    # closed form, a square odd p gives H^T H a zero eigenvalue next
-    # to eigenvalues tau^2 larger, which a sigma taken as sqrt(1 + tau^2 lam)
-    # or an unweighted Newton-Schulz step gets wrong by up to 5e-10.  (For a
+    # closed form, a square odd p gives the Gram matrix I + tau^2 H^T H an
+    # eigenvalue 1 next to eigenvalues tau^2 larger; when the candidate
+    # V diag(lam^(-1/2)) V^T misses the certificate there, the column-norm
+    # construction must not take sigma as sqrt(lam) or skip the weighted
+    # correction, which get it wrong by up to 5e-10.  (For a
     # tall rank-deficient H the polar factor of the rounded step itself moves
     # by about 1e-16 * tau*||H||, so there the two routes may differ by that.)
     point, h, tau = case
@@ -375,13 +380,12 @@ def test_retract_exact_branch_is_the_projection(case):
 
 @pytest.mark.parametrize("n,p", [(60, 30), (30, 30)])
 def test_chained_exact_retractions_do_not_drift(n, p):
-    # Each closed-form step assumes X^T X = I exactly; the polar correction
-    # in retract stops the feasibility error of one iterate from carrying
-    # into the next.  Without that line the square chain passes 2e-13
-    # within 200 steps (the tall one levels off near 5e-14), above the
-    # 1e-13 below which the series fast path can fire; with it both stay
-    # near 1e-14.  The steps have ||E||_F = tau^2 ||H^T H||_F in [0.1, 100],
-    # beyond the series cutoff, so each one takes the closed form.
+    # The closed form takes the Gram matrix of the formed step, so it also
+    # corrects the feasibility error the last iterate left: both chains stay
+    # below 4e-14, under the 1e-13 below which the series fast path can fire.
+    # (The column-norm fallback has its polar correction line for the same
+    # reason.)  The steps have ||tau^2 H^T H||_F in [0.1, 100], beyond the
+    # series cutoff, so each one takes the closed form.
     rng = np.random.default_rng(11)
     point = StiefelPoint(random_orthonormal(n, p, rng))
     for _ in range(200):
@@ -408,8 +412,9 @@ def test_chained_series_retractions_do_not_drift(n, p):
 
 
 def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):
-    # At square St(3,3) and tau*||H|| = 1e11 the eigenvectors of H^T H are
-    # too coarse for the certificate, so retract falls back to the SVD.
+    # At square St(3,3) and tau*||H|| = 1e11 the eigenvectors of the Gram
+    # matrix are too coarse for the certificate of either closed-form
+    # candidate, so retract falls back to the SVD.
     calls = []
 
     def counting(x):
@@ -426,6 +431,81 @@ def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):
     assert not fast and len(calls) == 1
     assert feasibility_error(new.x) <= FEASIBILITY_TOL
     npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
+
+
+def test_exact_branch_eigendecomposes_the_steps_gram_matrix(monkeypatch):
+    # The series test has formed step^T step = I + tau^2 H^T H already; the
+    # exact branch decomposes that matrix (not H^T H), whose eigenvalues are
+    # at least 1 for a tangent H.
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        seen.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(stiefelopt.manifold.np.linalg, "eigh", recording)
+    rng = np.random.default_rng(21)
+    point = StiefelPoint(random_orthonormal(9, 3, rng))
+    k = rng.standard_normal((9, 1)) @ rng.standard_normal((1, 3))
+    for h in (_random_tangent(point, rng), k - point.x @ (point.x.T @ k)):  # generic, rank 1
+        tau = 3.0 / np.linalg.norm(h)
+        seen.clear()
+        _, fast = retract(point, h, tau)
+        assert not fast and len(seen) == 1
+        step = point.x - tau * h
+        gram = step.T @ step
+        npt.assert_allclose(seen[0], gram, rtol=0, atol=1e-14 * np.linalg.norm(gram))
+        assert np.linalg.eigvalsh(seen[0])[0] >= 1.0 - 1e-12
+
+
+def test_retract_needs_no_svd_rescue_up_to_a_million(monkeypatch):
+    # 2000 seeded tangent steps on St(n <= 39), full rank and rank deficient,
+    # with tau*||H|| log-uniform in [1e-2, 1e6]: the Gram candidate or, when
+    # it misses the certificate, the column-norm construction with the same
+    # eigenvectors certifies every one.  (Eigenvectors of H^T H in place of
+    # the step's own Gram matrix sent 105 of the 1623 nonzero steps to the SVD.)
+    rescues = []
+
+    def counting(x):
+        rescues.append(x.shape)
+        return thin_svd(x)
+
+    monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        p = int(rng.integers(1, n + 1))
+        point = StiefelPoint(random_orthonormal(n, p, rng))
+        rank = int(rng.integers(0, p + 1))
+        k = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        h = k - point.x @ (point.x.T @ k)
+        if rank == p:
+            s = rng.standard_normal((p, p))
+            h += point.x @ (s - s.T)
+        norm = np.linalg.norm(h)
+        if norm == 0.0:
+            continue
+        new, _ = retract(point, h, 10.0 ** rng.uniform(-2.0, 6.0) / norm)
+        assert new.feasibility <= FEASIBILITY_TOL
+    assert not rescues
+
+
+def test_retract_survives_a_gram_matrix_swamped_by_rounding():
+    # A rank-1 complement direction at tau*||H|| = 1.26e14 on St(4, 2): the
+    # Gram matrix's small eigenvalue, 1 exactly, is lost in a rounding of
+    # about 1e12 (on OpenBLAS eigh returns it negative), and its lam^(-1/2)
+    # would be NaN with a RuntimeWarning.
+    rng = np.random.default_rng(8)
+    point = StiefelPoint(random_orthonormal(4, 2, rng))
+    k = rng.standard_normal((4, 1)) @ rng.standard_normal((1, 2))
+    h = k - point.x @ (point.x.T @ k)
+    tau = 1.26e14 / np.linalg.norm(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, fast = retract(point, h, tau)
+    assert not fast
+    _assert_certified_and_owned(new)
 
 
 @pytest.mark.skipif(not __debug__, reason="python -O compiles the assertion out")

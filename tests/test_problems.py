@@ -295,6 +295,7 @@ def test_eig_matrix_is_stored_exactly_symmetric(n, exponent, seed):
 @given(st.sampled_from([(16, 12), (100, 10)]), st.integers(0, 2**32 - 1))
 def test_eig_value_and_gradient_match_a_times_x(shape, seed):
     # On OpenBLAS, (X^T A)^T and A X differ in their last bits at these shapes.
+    # The gradient is C-ordered, which gradient_split keeps without a copy.
     n, p = shape
     problem = EigProblem.generate(n, p, with_oracle=False, seed=seed)
     x = StiefelPoint(random_orthonormal(n, p, seed)).x
@@ -303,6 +304,8 @@ def test_eig_value_and_gradient_match_a_times_x(shape, seed):
     assert abs(problem.value(x) - expected) <= 1e-13 * abs(expected)
     for grad in (problem.gradient(x), problem.gradient(x.copy())):  # memo hit, then miss
         assert frobenius_norm(grad + 2.0 * ax) <= 1e-13 * frobenius_norm(2.0 * ax)
+        assert grad.flags.c_contiguous
+        assert grad.tobytes() == (-2.0 * problem._times_a(x)).tobytes()
 
 
 def test_eig_gradient_matches_oracle():
