@@ -274,7 +274,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     if not (alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     cfg = {key: merged.pop(key) for key in _INSTANCE_DEFAULTS}
-    StiefelSolver(**merged)._validate_params()
+    checked = merged
+    if args.command == "sweep":  # each grid point replaces alpha and beta
+        checked = dict(merged, alpha=alphas[0], beta=1.0 - alphas[0])
+    StiefelSolver(**checked).validate_params()
     return cfg, merged
 
 

@@ -309,7 +309,8 @@ class StiefelSolver:
             setattr(self, name, value)
         return self
 
-    def _validate_params(self) -> None:
+    def validate_params(self) -> None:
+        """Check every hyperparameter; :class:`ValueError` names the first bad one."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, float):
@@ -370,7 +371,7 @@ class StiefelSolver:
         -------
         SolverReport
         """
-        self._validate_params()
+        self.validate_params()
         n, p = objective.shape
         if x0 is None:
             point = StiefelPoint(random_orthonormal(n, p, rng))

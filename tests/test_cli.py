@@ -220,6 +220,19 @@ def test_bad_alphas_are_rejected_before_any_output(tmp_path, alphas, form):
     assert not out.exists()
 
 
+def test_sweep_checks_its_own_alpha_beta_not_the_configs(tmp_path, capsys):
+    # A config shared with run may set alpha = beta = 0, which run refuses;
+    # sweep replaces both by each grid point, so it runs.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "wopp", "n": 12, "p": 3, "known_solution": True,
+                                    "alpha": 0.0, "beta": 0.0}))
+    settings = ["--config", str(cfg_path)]
+    assert main(["sweep", *settings, "--alphas", "0.5", "--out", str(tmp_path / "sw")]) == 0
+    assert main(["run", *settings, "--out", str(tmp_path / "run")]) == 1
+    assert "need alpha >= 0, beta >= 0, alpha + beta > 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_rejects_weights_outside_unit_interval(tmp_path):
     args = ["sweep", "--n", "6", "--p", "2", "--alphas", "0,2",
             "--out", str(tmp_path / "x")]
