@@ -16,7 +16,6 @@ from .linalg import as_matrix, frobenius_norm, thin_svd
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "TAYLOR_ACCEPT_TOL",
     "FeasibilityError",
     "RankDeficientError",
     "StiefelPoint",
@@ -28,11 +27,6 @@ __all__ = [
 
 #: Largest ||X^T X - I||_F accepted when constructing a StiefelPoint.
 FEASIBILITY_TOL = 1e-12
-
-#: Acceptance threshold for the series fast path in :func:`retract`.
-#: Fixed by design, not a tunable: candidates above it fall back to the
-#: exact projection, the closed-form polar factor from ``eigh``.
-TAYLOR_ACCEPT_TOL = 1e-13
 
 #: :func:`retract` tries the series only while ``||step^T step - I||_F`` is
 #: below this: from here on the degree it needs exceeds 10, and the ``eigh``
@@ -184,25 +178,25 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     The projection is the polar factor ``step (step^T step)^(-1/2)`` of
     ``step = X - tau*H``.  With ``E = step^T step - I`` taken from the formed
     step (so it also absorbs the roundoff in ``X`` and in the tangency of
-    ``H``), the fast path truncates the binomial series
-    ``(I + E)^(-1/2) = I - E/2 + 3E^2/8 - ...`` at the smallest degree
-    ``d >= 1`` with ``||E||_F^(d+1) <= 1e-14`` (:data:`SERIES_TOL`) and returns
-    ``step p_d(E)`` when its feasibility error is below
-    :data:`TAYLOR_ACCEPT_TOL`.  That candidate is the projection to about
-    ``5e-14``; it costs ``p x p`` products only, besides the Gram matrix,
-    the product with ``step`` and the certificate.  The series is skipped
-    when ``||E||_F >= 0.05`` (:data:`SERIES_CUTOFF`), where ``d`` would
-    exceed 10.
+    ``H``), ``||E||_F`` picks one closed-form candidate:
 
-    Otherwise the exact projection is computed in closed form from the Gram
-    matrix the series test formed.  For tangent ``H`` it is
-    ``step^T step = I + tau^2 H^T H``, at least ``I``, so the polar factor is
-    unique at every ``tau``, and with ``step^T step = V diag(lam) V^T`` it is
-    ``step V diag(lam^(-1/2)) V^T``: one ``p x p`` symmetric
-    eigendecomposition, a ``p^3`` and an ``n p^2`` product, no SVD.  Its
-    feasibility error grows like ``eps * lam_max / lam_min``, up to
-    ``eps * (tau*||H||)^2``.  When it misses :data:`FEASIBILITY_TOL`, or
-    rounding has pushed ``lam[0]`` below 1/2, the thin SVD of ``step``
+    - Below 0.05 (:data:`SERIES_CUTOFF`), the fast path: the binomial series
+      ``(I + E)^(-1/2) = I - E/2 + 3E^2/8 - ...`` truncated at the smallest
+      degree ``d >= 1`` with ``||E||_F^(d+1) <= 1e-14`` (:data:`SERIES_TOL`),
+      so ``d <= 10``, and the candidate ``step p_d(E)``.  It is the
+      projection to about ``5e-14`` and costs ``p x p`` products only,
+      besides the Gram matrix, the product with ``step`` and the certificate.
+    - Otherwise the exact polar factor from the same Gram matrix.  For
+      tangent ``H`` it is ``step^T step = I + tau^2 H^T H``, at least ``I``,
+      so the polar factor is unique at every ``tau``, and with
+      ``step^T step = V diag(lam) V^T`` it is ``step V diag(lam^(-1/2)) V^T``:
+      one ``p x p`` symmetric eigendecomposition, a ``p^3`` and an ``n p^2``
+      product, no SVD.  Its feasibility error grows like
+      ``eps * lam_max / lam_min``, up to ``eps * (tau*||H||)^2``.
+
+    The candidate is returned when its feasibility error is within
+    :data:`FEASIBILITY_TOL`, the certificate of every point.  When it is not,
+    or rounding has pushed ``lam[0]`` below 1/2, the thin SVD of ``step``
     rescues; the test suite's seeded sweep of tangent steps with
     ``tau*||H|| <= 10`` never needs it.
 
@@ -213,15 +207,16 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     direction : array_like, shape (n, p)
         Tangent direction ``H`` at ``X`` (asserted in debug runs).
     tau : float
-        Step length, ``tau >= 0``.  ``tau = 0`` returns ``point`` itself.
+        Step length, finite and ``>= 0``.  ``tau = 0`` returns ``point`` itself.
 
     Returns
     -------
     (StiefelPoint, bool)
-        The new point and whether the fast path was taken.
+        The new point and whether the fast path was taken, a ``bool``: true
+        when the series was chosen or ``tau = 0``.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     h = as_matrix(direction, "direction")
     if h.shape != point.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {point.shape}")
@@ -237,26 +232,24 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     e = step.T @ step
     e.flat[:: e.shape[0] + 1] -= 1.0
     e_norm = frobenius_norm(e)
-    if e_norm < SERIES_CUTOFF:
+    series = e_norm < SERIES_CUTOFF
+    if series:
         degree, bound = 1, e_norm * e_norm
         while bound > SERIES_TOL:
             degree, bound = degree + 1, bound * e_norm
         candidate = step @ _inverse_sqrt_series(e, degree)
+    else:
+        # For tangent H the Gram matrix is I + tau^2 H^T H >= I, so lam[0] < 1/2
+        # means rounding has swamped its small eigenvalues and lam^(-1/2)
+        # would be wrong.
+        e.flat[:: e.shape[0] + 1] += 1.0
+        lam, v = np.linalg.eigh(e)
+        candidate = step @ ((v * lam**-0.5) @ v.T) if lam[0] >= 0.5 else None
+    if candidate is not None:
         feas = feasibility_error(candidate)
-        if feas < TAYLOR_ACCEPT_TOL:
-            return StiefelPoint._fresh(candidate, feas), True
-    # The polar factor from the Gram matrix the series test formed: with
-    # step^T step = V diag(lam) V^T it is step V diag(lam^(-1/2)) V^T.  For
-    # tangent H the Gram matrix is I + tau^2 H^T H >= I, so lam[0] < 1/2 means
-    # rounding has swamped the small eigenvalues and lam^(-1/2) would be wrong.
-    e.flat[:: e.shape[0] + 1] += 1.0
-    lam, v = np.linalg.eigh(e)
-    if lam[0] >= 0.5:
-        polar = step @ ((v * lam**-0.5) @ v.T)
-        feas = feasibility_error(polar)
         if feas <= FEASIBILITY_TOL:
-            return StiefelPoint._fresh(polar, feas), False
-    # Certified rescue: at large tau*||H|| the rounding in V, about
-    # eps * lam_max / gap, spoils the candidate's small singular directions.
+            return StiefelPoint._fresh(candidate, feas), series
+    # Certified rescue of a refused candidate: at large tau*||H|| the rounding
+    # in V, about eps * lam_max / gap, spoils its small singular directions.
     u, _, v = thin_svd(step)
     return StiefelPoint(u @ v.T), False

@@ -13,7 +13,6 @@ import stiefelopt.manifold
 from stiefelopt.manifold import SERIES_CUTOFF, _inverse_sqrt_series
 from stiefelopt import (
     FEASIBILITY_TOL,
-    TAYLOR_ACCEPT_TOL,
     FeasibilityError,
     RankDeficientError,
     StiefelPoint,
@@ -201,7 +200,7 @@ def test_retract_fast_path_fires_for_tiny_steps():
     h /= np.linalg.norm(h)
     new, fast = retract(point, h, 1e-5)
     assert fast
-    assert new.feasibility < TAYLOR_ACCEPT_TOL
+    assert new.feasibility < 1e-13
     exact = project(point.x - 1e-5 * h).x
     npt.assert_allclose(new.x, exact, atol=1e-13)
 
@@ -255,8 +254,9 @@ def test_inverse_sqrt_series_gram_error_scales_as_the_next_power(degree):
 def test_retract_series_corrects_the_drift_of_its_start():
     # E is read off the formed step, so it holds the start's own Gram error
     # as well as tau^2 H^T H: a certified start 5e-13 off orthonormality
-    # (above TAYLOR_ACCEPT_TOL) still takes the series at a tiny step, and
-    # the result is feasible to roundoff and equal to the projection.
+    # takes the series at a tiny step, and the result is feasible to
+    # roundoff (not merely within FEASIBILITY_TOL, as the start was) and
+    # equal to the projection.
     rng = np.random.default_rng(13)
     x0 = random_orthonormal(40, 8, rng)
     s = rng.standard_normal((8, 8))
@@ -381,7 +381,7 @@ def test_retract_exact_branch_is_the_projection(case):
 def test_chained_exact_retractions_do_not_drift(n, p):
     # The closed form takes the Gram matrix of the formed step, so it also
     # corrects the feasibility error the last iterate left: both chains stay
-    # below 4e-14, under the 1e-13 below which the series fast path can fire.
+    # below 4e-14, far inside FEASIBILITY_TOL.
     # The steps have ||tau^2 H^T H||_F in [0.1, 100], beyond the
     # series cutoff, so each one takes the closed form.
     rng = np.random.default_rng(11)
@@ -429,6 +429,43 @@ def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):
     assert not fast and len(calls) == 1
     assert feasibility_error(new.x) <= FEASIBILITY_TOL
     npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-13, 1.0 + 1e-6])
+def test_retract_certifies_either_candidate_once(scale, monkeypatch):
+    # One certificate, FEASIBILITY_TOL, for both closed-form candidates.  A
+    # series candidate scaled by 1 + 1e-13 is about 3.5e-13 off orthonormality
+    # and is still returned; one scaled by 1 + 1e-6 is refused and goes
+    # straight to the SVD rescue.  Neither takes the eigh polar factor.
+    rng = np.random.default_rng(5)
+    point = StiefelPoint(random_orthonormal(7, 3, rng))
+    s = rng.standard_normal((3, 3))
+    h = point.x @ (s - s.T)
+    h /= np.linalg.norm(h)
+    calls = {"eigh": 0, "svd": 0}
+    series, eigh = stiefelopt.manifold._inverse_sqrt_series, np.linalg.eigh
+
+    def counting_eigh(a):
+        calls["eigh"] += 1
+        return eigh(a)
+
+    def counting_svd(x):
+        calls["svd"] += 1
+        return thin_svd(x)
+
+    monkeypatch.setattr(
+        stiefelopt.manifold, "_inverse_sqrt_series", lambda e, d: scale * series(e, d)
+    )
+    monkeypatch.setattr(stiefelopt.manifold.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting_svd)
+    new, fast = retract(point, h, 1e-3)
+    assert calls["eigh"] == 0
+    if scale < 1.0 + 1e-12:
+        assert fast is True and calls["svd"] == 0
+        assert 1e-13 < new.feasibility <= FEASIBILITY_TOL
+    else:
+        assert fast is False and calls["svd"] == 1
+        npt.assert_allclose(new.x, project(point.x - 1e-3 * h).x, rtol=0, atol=1e-12)
 
 
 def test_exact_branch_eigendecomposes_the_steps_gram_matrix(monkeypatch):
@@ -519,7 +556,8 @@ def test_retract_asserts_a_tangent_direction():
 def test_retract_validates_inputs():
     point = StiefelPoint(np.eye(4, 2))
     tangent = np.zeros((4, 2))
-    with pytest.raises(ValueError, match="tau"):
-        retract(point, tangent, -0.1)
+    for tau in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            retract(point, tangent, tau)
     with pytest.raises(ValueError, match="shape mismatch"):
         retract(point, np.zeros((4, 3)), 0.1)

@@ -23,7 +23,6 @@ PUBLIC = {
     "thin_svd",
     # manifold
     "FEASIBILITY_TOL",
-    "TAYLOR_ACCEPT_TOL",
     "FeasibilityError",
     "RankDeficientError",
     "StiefelPoint",

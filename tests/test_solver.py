@@ -130,9 +130,19 @@ def test_set_params_round_trip_and_unknown_key():
     ],
 )
 def test_invalid_parameters_raise_on_solve(bad):
-    solver = StiefelSolver(**bad)
-    with pytest.raises(ValueError):
-        solver.solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
+    # Refused before the first evaluation, by a message that names the
+    # setting, not partway through the solve by whatever it breaks.
+    toy, evaluations = _toy_quadratic(), []
+    counted = CallableObjective(
+        fun=lambda x: evaluations.append("value") or toy.value(x),
+        grad=lambda x: evaluations.append("gradient") or toy.gradient(x),
+        shape=(2, 1),
+        name="counted toy",
+    )
+    with pytest.raises(ValueError) as refused:
+        StiefelSolver(**bad).solve(counted, np.array([[0.6], [0.8]]))
+    assert evaluations == []
+    assert any(key in str(refused.value) for key in bad), str(refused.value)
 
 
 def test_float_parameters_refuse_bool_by_name():
