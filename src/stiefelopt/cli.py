@@ -1,9 +1,12 @@
 """stiefel-bench: seeded benchmark harness.
 
-Subcommands: ``run`` (one family, N seeded simulations), ``compare``
-(monotone vs non-monotone acceptance, all else equal), ``sweep`` (alpha
-grid with beta = 1 - alpha, N seeded simulations per alpha).  Settings
-come from built-in defaults, optionally a JSON config file, then
+Each subcommand is a list of solver-setting overrides, its *points*: ``run``
+has one empty point, ``compare`` one per acceptance ``mode`` (all else
+equal), ``sweep`` one per ``alpha`` of its grid with ``beta = 1 - alpha``.
+Every point runs the same N seeded simulations, and every subcommand writes
+the same files: ``runs.csv``, ``aggregate.csv``, ``summary.json`` and, with
+``--history``, ``history.csv``, whose rows lead with the point's settings.
+Settings come from built-in defaults, optionally a JSON config file, then
 command-line flags, in that order of precedence.
 """
 
@@ -39,6 +42,14 @@ _INSTANCE_DEFAULTS = {
 _CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
 _RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
 _AGG_COLUMNS = _RUN_COLUMNS[2:]  # all but sim and seed
+#: Each subcommand's help and its points, the solver-setting overrides it runs.
+_COMMANDS = {
+    "run": ("run one family for N seeded simulations", lambda cfg: [{}]),
+    "compare": ("run monotone and nonmonotone acceptance on identical seeds",
+                lambda cfg: [{"mode": m} for m in PARAM_CHOICES["mode"]]),
+    "sweep": ("sweep alpha over a grid with beta = 1 - alpha",
+              lambda cfg: [{"alpha": a, "beta": 1.0 - a} for a in cfg["alphas"]]),
+}
 
 
 def _fmt(value) -> str:
@@ -143,61 +154,29 @@ def _print_aggregate(agg_rows, heading: str) -> None:
         print("  " + "  ".join(cells))
 
 
-def cmd_run(cfg: dict, solver_params: dict, outdir: Path) -> int:
-    solver = StiefelSolver(**solver_params)
-    rows, reports = _run_batch(cfg, solver)
-    agg = _aggregate(rows)
-    _write_csv(outdir / "runs.csv", _RUN_COLUMNS, rows)
-    _write_csv(outdir / "aggregate.csv", ["stat"] + _AGG_COLUMNS, agg)
-    if cfg["history"]:
-        history = reports[0].to_dict(include_history=True)["history"]
+def _run_points(cfg: dict, solver_params: dict, points: list[dict], outdir: Path) -> int:
+    """Run the seeded batch once per point and write one set of tables for all."""
+    keys = list(points[0])
+    runs, aggregate, history = [], [], []
+    for point in points:
+        label = " ".join(f"{k}={_fmt(v)}" for k, v in point.items())
+        batch, reports = _run_batch(cfg, StiefelSolver(**{**solver_params, **point}), label)
+        runs += [{**point, **row} for row in batch]
+        point_agg = [{**point, **row} for row in _aggregate(batch)]
+        aggregate += point_agg
+        _print_aggregate(point_agg, f"aggregate over {cfg['sims']} runs {label}".rstrip())
+        if cfg["history"]:
+            records = reports[0].to_dict(include_history=True)["history"]
+            history += [{**point, **record} for record in records]
+    _write_csv(outdir / "runs.csv", [*keys, *_RUN_COLUMNS, "termination"], runs)
+    _write_csv(outdir / "aggregate.csv", [*keys, "stat", *_AGG_COLUMNS], aggregate)
+    if history:
         _write_csv(outdir / "history.csv", list(history[0]), history)
-    summary = {
-        "config": {k: cfg[k] for k in _INSTANCE_DEFAULTS if k != "alphas"},
-        "solver_params": solver.get_params(),
-        "runs": rows,
-        "aggregate": {row["stat"]: {c: row[c] for c in _AGG_COLUMNS} for row in agg},
-    }
+    summary = {"config": cfg, "solver_params": solver_params, "points": points,
+               "runs": runs, "aggregate": aggregate}
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
-    _print_aggregate(agg, f"aggregate over {cfg['sims']} runs -> {outdir}")
-    return 0 if all(r.converged for r in reports) else 1
-
-
-def cmd_compare(cfg: dict, solver_params: dict, outdir: Path) -> int:
-    all_ok = True
-    mode_aggs = {}
-    for mode in ("monotone", "nonmonotone"):
-        params = dict(solver_params, mode=mode)
-        solver = StiefelSolver(**params)
-        rows, reports = _run_batch(cfg, solver, label=mode)
-        _write_csv(outdir / f"runs_{mode}.csv", _RUN_COLUMNS, rows)
-        mode_aggs[mode] = _aggregate(rows)
-        all_ok = all_ok and all(r.converged for r in reports)
-    compare_rows = [
-        dict(row, mode=mode) for mode in mode_aggs for row in mode_aggs[mode]
-    ]
-    _write_csv(outdir / "compare.csv", ["mode", "stat"] + _AGG_COLUMNS, compare_rows)
-    for mode, agg in mode_aggs.items():
-        _print_aggregate(agg, f"{mode}:")
-    mono_t = next(r["time_s"] for r in mode_aggs["monotone"] if r["stat"] == "mean")
-    nonm_t = next(r["time_s"] for r in mode_aggs["nonmonotone"] if r["stat"] == "mean")
-    if nonm_t is not None and mono_t is not None and nonm_t > mono_t:
-        # Informational only: timing depends on the machine and never gates.
-        print(f"note: nonmonotone mean time {nonm_t:.3g}s > monotone {mono_t:.3g}s")
-    return 0 if all_ok else 1
-
-
-def cmd_sweep(cfg: dict, solver_params: dict, outdir: Path) -> int:
-    rows = []
-    ok = True
-    for a in cfg["alphas"]:
-        solver = StiefelSolver(**dict(solver_params, alpha=a, beta=1.0 - a))
-        batch, reports = _run_batch(cfg, solver, label=f"alpha={a:.3g}")
-        ok = ok and all(r.converged for r in reports)
-        rows += [dict(row, alpha=a, beta=1.0 - a) for row in batch]
-    _write_csv(outdir / "sweep.csv", ["alpha", "beta", *_RUN_COLUMNS, "termination"], rows)
-    print(f"wrote {outdir / 'sweep.csv'}")
-    return 0 if ok else 1
+    print(f"wrote {outdir}")
+    return 0 if all(run["converged"] for run in runs) else 1
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -207,8 +186,10 @@ def _parse_alphas(text: str) -> list[float]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range form is start:step:stop")
         start, step, stop = (float(s) for s in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("step must be > 0")
+        if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"range needs a finite start:step:stop with step > 0, got {text!r}"
+            )
         vals, v = [], start
         while v <= stop + 1e-12:
             vals.append(round(v, 12))
@@ -245,9 +226,11 @@ def _typed_like(value, default) -> bool:
     return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, kind)
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Merge defaults, the JSON config file, and explicit flags; check each
-    setting, the solver's ranges included, before any instance is built."""
+def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict]]:
+    """Merge defaults, the JSON config file, and explicit flags into the
+    instance config, the solver parameters and the command's points; check
+    each setting, the solver's ranges at every point included, before any
+    instance is built."""
     defaults = {**_INSTANCE_DEFAULTS, **{f.name: f.default for f in fields(StiefelSolver)}}
     merged = dict(defaults)
     if args.config:
@@ -274,11 +257,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     if not (alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     cfg = {key: merged.pop(key) for key in _INSTANCE_DEFAULTS}
-    checked = merged
-    if args.command == "sweep":  # each grid point replaces alpha and beta
-        checked = dict(merged, alpha=alphas[0], beta=1.0 - alphas[0])
-    StiefelSolver(**checked).validate_params()
-    return cfg, merged
+    points = _COMMANDS[args.command][1](cfg)
+    for point in points:
+        StiefelSolver(**{**merged, **point}).validate_params()
+    return cfg, merged, points
 
 
 def main(argv=None) -> int:
@@ -287,21 +269,16 @@ def main(argv=None) -> int:
         description="Seeded benchmarks for the Stiefel-manifold solver.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "run one family for N seeded simulations"),
-        ("compare", "run monotone and nonmonotone acceptance on identical seeds"),
-        ("sweep", "sweep alpha over a grid with beta = 1 - alpha"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         _add_common_flags(sub)
         if name == "sweep":
             sub.add_argument("--alphas", type=_parse_alphas, default=None,
                              help="comma list '0,0.5,1' or range '0:0.05:1'")
     args = parser.parse_args(argv)
-    command = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}[args.command]
     try:
-        cfg, solver_params = _resolve_config(args)
-        return command(cfg, solver_params, Path(cfg["out"]))
+        cfg, solver_params, points = _resolve_config(args)
+        return _run_points(cfg, solver_params, points, Path(cfg["out"]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -266,8 +266,8 @@ class EnergyProblem(_SharedWork):
 
     ``L`` is the ``n x n`` tridiagonal matrix with 2 on the diagonal and -1
     off it (symmetric positive definite), ``rho(X) = diag(X X^T)`` the row
-    density of the ``(n, k)`` variable, and ``mu >= 0`` the coupling weight.
-    ``mu = 0`` reduces to the plain quadratic form.
+    density of the ``(n, k)`` variable, and a finite ``mu >= 0`` the coupling
+    weight. ``mu = 0`` reduces to the plain quadratic form.
 
     The Cholesky factorization of ``L`` is computed once in banded form; each
     ``L^{-1} rho`` is one LAPACK ``pbtrs`` call on it, as in ``cho_solve_banded``.
@@ -276,8 +276,8 @@ class EnergyProblem(_SharedWork):
     def __init__(self, n: int, k: int, mu: float = 1.0):
         if n < k or k < 1:
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-        if mu < 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {mu}")
         self.mu = float(mu)
         self.shape = (n, k)
         self.name = "energy"

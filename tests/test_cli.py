@@ -12,6 +12,7 @@ from stiefelopt import StiefelSolver
 from stiefelopt.cli import _fmt, _parse_alphas, main
 
 RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
+AGG_COLUMNS = RUN_COLUMNS[2:]
 
 
 def _read_csv(path):
@@ -41,7 +42,7 @@ def test_run_writes_per_run_and_aggregate_tables(tmp_path, capsys):
     assert main(_run_args(tmp_path)) == 0
     out = tmp_path / "out"
     header, rows = _read_csv(out / "runs.csv")
-    assert header == RUN_COLUMNS
+    assert header == [*RUN_COLUMNS, "termination"]
     assert [r[0] for r in rows] == ["0", "1", "2"]
     assert [r[1] for r in rows] == ["0", "1", "2"]  # seed = base + sim
     # Known-solution instances report the objective value as the error.
@@ -65,6 +66,7 @@ def test_run_writes_per_run_and_aggregate_tables(tmp_path, capsys):
 def test_run_summary_json_mirrors_the_tables(tmp_path):
     assert main(_run_args(tmp_path)) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["points"] == [{}]
     assert summary["config"]["family"] == "wopp"
     assert summary["config"]["n"] == 12 and summary["config"]["p"] == 3
     assert summary["solver_params"]["alpha"] == 1.0
@@ -73,14 +75,17 @@ def test_run_summary_json_mirrors_the_tables(tmp_path):
         assert run["sim"] == i and run["seed"] == i
         assert run["converged"] is True
         assert run["termination"] == "GradTol"
-    assert set(summary["aggregate"]) == {"min", "mean", "max"}
+    assert [row["stat"] for row in summary["aggregate"]] == ["min", "mean", "max"]
+    header, rows = _read_csv(tmp_path / "out" / "aggregate.csv")
+    assert rows == [[_fmt(row[col]) for col in header] for row in summary["aggregate"]]
 
 
 def test_runs_table_and_summary_runs_are_one_schema(tmp_path):
     assert main(_run_args(tmp_path)) == 0
-    _, rows = _read_csv(tmp_path / "out" / "runs.csv")
+    header, rows = _read_csv(tmp_path / "out" / "runs.csv")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert rows == [[_fmt(run[col]) for col in RUN_COLUMNS] for run in summary["runs"]]
+    assert header == [*RUN_COLUMNS, "termination"]
+    assert rows == [[_fmt(run[col]) for col in header] for run in summary["runs"]]
 
 
 def test_run_is_reproducible_except_for_timing(tmp_path):
@@ -138,11 +143,14 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
         "--seed", "5",
     ]
     assert main(["compare", *settings, "--out", str(tmp_path / "cmp")]) == 0
-    _, mono = _read_csv(tmp_path / "cmp" / "runs_monotone.csv")
-    _, nonm = _read_csv(tmp_path / "cmp" / "runs_nonmonotone.csv")
+    header, rows = _read_csv(tmp_path / "cmp" / "runs.csv")
+    assert header == ["mode", *RUN_COLUMNS, "termination"]
+    mono = [r[1:] for r in rows if r[0] == "monotone"]
+    nonm = [r[1:] for r in rows if r[0] == "nonmonotone"]
+    assert len(mono) + len(nonm) == len(rows)
     assert [r[1] for r in mono] == ["5", "6"]
     assert [r[1] for r in mono] == [r[1] for r in nonm]
-    header, rows = _read_csv(tmp_path / "cmp" / "compare.csv")
+    header, rows = _read_csv(tmp_path / "cmp" / "aggregate.csv")
     assert header[:2] == ["mode", "stat"]
     assert len(rows) == 6  # two modes x min/mean/max
     assert {r[0] for r in rows} == {"monotone", "nonmonotone"}
@@ -171,7 +179,7 @@ def test_sweep_walks_the_direction_mix(tmp_path):
         "--out", str(tmp_path / "sweep"),
     ]
     assert main(args) == 0
-    header, rows = _read_csv(tmp_path / "sweep" / "sweep.csv")
+    header, rows = _read_csv(tmp_path / "sweep" / "runs.csv")
     assert header[:2] == ["alpha", "beta"]
     assert [r[0] for r in rows] == ["0.0", "0.5", "1.0"]
     for row in rows:
@@ -183,7 +191,7 @@ def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
     settings = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                 "--sims", "2", "--seed", "3"]
     assert main(["sweep", *settings, "--alphas", "0.5,1", "--out", str(tmp_path / "sw")]) == 0
-    header, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
+    header, rows = _read_csv(tmp_path / "sw" / "runs.csv")
     assert header == ["alpha", "beta", *RUN_COLUMNS, "termination"]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
         ("0.5", "0.5", "0", "3"), ("0.5", "0.5", "1", "4"),
@@ -194,7 +202,7 @@ def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
         out = tmp_path / f"run_{alpha}"
         assert main(["run", *settings, "--alpha", alpha, "--beta", beta, "--out", str(out)]) == 0
         run_header, run_rows = _read_csv(out / "runs.csv")
-        keep = [c for c in RUN_COLUMNS if c != "time_s"]
+        keep = [c for c in [*RUN_COLUMNS, "termination"] if c != "time_s"]
         assert [[r[header.index(c)] for c in keep] for r in chunk] == [
             [r[run_header.index(c)] for c in keep] for r in run_rows
         ]
@@ -248,6 +256,59 @@ def test_parse_alphas_forms():
         _parse_alphas("0:1")
     with pytest.raises(argparse.ArgumentTypeError, match="step"):
         _parse_alphas("0:-0.5:1")
+    # A NaN step would end the range at its start; an infinite stop is never passed.
+    for text in ("0:nan:1", "0:0.1:inf"):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite start:step:stop"):
+            _parse_alphas(text)
+
+
+# -- one schema ----------------------------------------------------------------------------
+
+_WOPP_SETTINGS = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
+                  "--sims", "2"]
+_SUBCOMMANDS = {
+    "run": (["run"], []),
+    "compare": (["compare"], ["mode"]),
+    "sweep": (["sweep", "--alphas", "0.5,1"], ["alpha", "beta"]),
+}
+
+
+@pytest.mark.parametrize("command, keys", _SUBCOMMANDS.values(), ids=list(_SUBCOMMANDS))
+def test_every_subcommand_writes_the_same_files_and_columns(tmp_path, command, keys):
+    out = tmp_path / "out"
+    assert main([*command, *_WOPP_SETTINGS, "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "runs.csv", "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == ["config", "solver_params", "points", "runs", "aggregate"]
+    points = summary["points"]
+    assert [list(point) for point in points] == [keys] * len(points)
+    header, rows = _read_csv(out / "runs.csv")
+    assert header == [*keys, *RUN_COLUMNS, "termination"]
+    assert len(rows) == 2 * len(points) > 0
+    assert rows == [[_fmt(run[col]) for col in header] for run in summary["runs"]]
+    header, rows = _read_csv(out / "aggregate.csv")
+    assert header == [*keys, "stat", *AGG_COLUMNS]
+    assert len(rows) == 3 * len(points)
+    assert rows == [[_fmt(row[col]) for col in header] for row in summary["aggregate"]]
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_history_holds_the_first_run_of_each_point(tmp_path, command):
+    args, keys = _SUBCOMMANDS[command]
+    out = tmp_path / "out"
+    assert main([*args, *_WOPP_SETTINGS, "--history", "--out", str(out)]) == 0
+    runs_header, runs = _read_csv(out / "runs.csv")
+    header, rows = _read_csv(out / "history.csv")
+    assert header[: len(keys) + 1] == [*keys, "k"]
+    first_runs = [r for r in runs if r[runs_header.index("sim")] == "0"]
+    assert len(first_runs) == len(json.loads((out / "summary.json").read_text())["points"])
+    for run in first_runs:
+        point = run[: len(keys)]
+        trace = [r[len(keys):] for r in rows if r[: len(keys)] == point]
+        nitr = int(run[runs_header.index("nitr")])
+        assert [r[0] for r in trace] == [str(k) for k in range(nitr + 1)]
+        assert trace[-1][1] == run[runs_header.index("fval")]
+    assert len(rows) == sum(int(r[runs_header.index("nitr")]) + 1 for r in first_runs)
 
 
 # -- config files ---------------------------------------------------------------------------
@@ -319,6 +380,7 @@ _BAD_SETTINGS = {
     "flags-p-above-n": (("--n", "5", "--p", "6"), "need m >= n"),
     "step_init-auto": ({"step_init": "auto"}, "step_init must be one of"),
     "flags-delta-above-one": (("--delta", "2"), "delta must be in (0, 1), got 2.0"),
+    "flags-mu-nan": (("--family", "energy", "--mu", "nan"), "mu must be finite"),
 }
 
 
@@ -361,7 +423,7 @@ def _without_timing_or_out(out):
     drop = header.index("time_s")
     summary = json.loads((out / "summary.json").read_text())
     del summary["config"]["out"]
-    for record in [*summary["runs"], *summary["aggregate"].values()]:
+    for record in [*summary["runs"], *summary["aggregate"]]:
         del record["time_s"]
     return [[v for i, v in enumerate(row) if i != drop] for row in rows], summary
 

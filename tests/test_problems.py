@@ -216,6 +216,14 @@ def test_energy_refuses_a_non_finite_point(bad):
         problem._solve_l(problem.row_density(x))
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_energy_refuses_a_non_finite_mu(mu):
+    # A NaN mu would make every value NaN, and the solve would then blame
+    # the gradient, not the setting.
+    with pytest.raises(ValueError, match="mu must be finite"):
+        EnergyProblem(20, 3, mu=mu)
+
+
 def test_energy_mu_zero_is_the_plain_quadratic():
     problem = EnergyProblem(9, 2, mu=0.0)
     lap = problem.laplacian()
