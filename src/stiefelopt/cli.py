@@ -3,9 +3,9 @@
 Each subcommand is a list of solver-setting overrides, its *points*: ``run``
 has one empty point, ``compare`` one per acceptance ``mode`` (all else
 equal), ``sweep`` one per ``alpha`` of its grid with ``beta = 1 - alpha``.
-Every point runs the same N seeded simulations, and every subcommand writes
-the same files: ``runs.csv``, ``aggregate.csv``, ``summary.json`` and, with
-``--history``, ``history.csv``, whose rows lead with the point's settings.
+Each of the N seeded instances is built once and solved at every point.
+Every subcommand writes ``runs.csv``, ``aggregate.csv``, ``summary.json``
+and, with ``--history``, ``history.csv``, rows led by the point's settings.
 Settings come from built-in defaults, optionally a JSON config file, then
 command-line flags, in that order of precedence.
 """
@@ -72,11 +72,13 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def _build_instance(cfg: dict, seed: int):
-    """One seeded ``(problem, x0, naming)``: the instance and the start share a
-    stream, and ``naming`` is the ``instance:`` line that describes them."""
+    """One seeded ``(problem, x0, naming, error)``: the instance and the start
+    share a stream, ``naming`` is the ``instance:`` line that describes them,
+    and ``error(report)`` is a run's error column (the family's oracle)."""
     rng = as_generator(seed)
     family = cfg["family"]
     n, p = cfg["n"], cfg["p"]
+    error = lambda report: None  # no oracle
     if family == "wopp":
         problem = WoppProblem.generate(
             n, p, ptype=cfg["ptype"], rng=rng,
@@ -86,23 +88,17 @@ def _build_instance(cfg: dict, seed: int):
             f"instance: wopp ptype={cfg['ptype']} on St({n}, {p}) "
             f"[procrustes naming: m={n}, n={p}, A {n}x{n}, C {p}x{p}, B {n}x{p}]"
         )
+        if cfg["known_solution"]:
+            error = lambda report: report.fval  # the optimum value is 0
     elif family == "energy":
         problem = EnergyProblem(n, p, mu=cfg["mu"])
         naming = f"instance: energy on St({n}, {p}) with mu={cfg['mu']}"
     else:
         problem = EigProblem.generate(n, p, rng=rng, seed=seed)
         naming = f"instance: eig on St({n}, {p})"
+        error = lambda report: problem.relative_error(report.x)
     x0 = random_orthonormal(n, p, rng)
-    return problem, x0, naming
-
-
-def _oracle_error(problem, report):
-    """Per-run error column: eigenvalue error, known-optimum gap, or blank."""
-    if isinstance(problem, EigProblem) and problem.oracle_eigs is not None:
-        return problem.relative_error(report.x)
-    if isinstance(problem, WoppProblem) and problem.solution is not None:
-        return report.fval  # known optimum value is 0
-    return None
+    return problem, x0, naming, error
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -121,27 +117,6 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _run_batch(cfg: dict, solver: StiefelSolver, label: str = ""):
-    rows, reports = [], []
-    for sim in range(cfg["sims"]):
-        sim_seed = cfg["seed"] + sim
-        problem, x0, naming = _build_instance(cfg, sim_seed)
-        if sim == 0:
-            print(naming)
-        report = solver.solve(problem, x0)
-        reports.append(report)
-        rows.append(
-            dict(report.to_dict(), sim=sim, seed=sim_seed, error=_oracle_error(problem, report))
-        )
-        tag = f"[{label}] " if label else ""
-        print(
-            f"{tag}sim {sim + 1}/{cfg['sims']} seed={sim_seed} "
-            f"nitr={report.nitr} nfe={report.nfe} fval={report.fval:.6e} "
-            f"nrmg={report.nrmg:.3e} feasi={report.feasi:.3e} {report.termination}"
-        )
-    return rows, reports
-
-
 def _print_aggregate(agg_rows, heading: str) -> None:
     print(heading)
     cols = ["stat"] + _AGG_COLUMNS
@@ -154,20 +129,37 @@ def _print_aggregate(agg_rows, heading: str) -> None:
         print("  " + "  ".join(cells))
 
 
-def _run_points(cfg: dict, solver_params: dict, points: list[dict], outdir: Path) -> int:
-    """Run the seeded batch once per point and write one set of tables for all."""
-    keys = list(points[0])
-    runs, aggregate, history = [], [], []
-    for point in points:
-        label = " ".join(f"{k}={_fmt(v)}" for k, v in point.items())
-        batch, reports = _run_batch(cfg, StiefelSolver(**{**solver_params, **point}), label)
-        runs += [{**point, **row} for row in batch]
-        point_agg = [{**point, **row} for row in _aggregate(batch)]
+def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: list) -> int:
+    """Build each seed's instance once, solve it at every point with that
+    point's solver, and write one set of tables, point by point, for all."""
+    labels = [" ".join(f"{k}={_fmt(v)}" for k, v in point.items()) for point in points]
+    by_point = [[] for _ in points]  # each point's rows, in sim order
+    history = []
+    for sim in range(cfg["sims"]):
+        seed = cfg["seed"] + sim
+        problem, x0, naming, error = _build_instance(cfg, seed)
+        if sim == 0:
+            print(naming)
+        for point, solver, label, rows in zip(points, solvers, labels, by_point):
+            report = solver.solve(problem, x0)
+            rows.append({**point, **report.to_dict(), "sim": sim, "seed": seed,
+                         "error": error(report)})
+            if sim == 0 and cfg["history"]:
+                records = report.to_dict(include_history=True)["history"]
+                history += [{**point, **record} for record in records]
+            tag = f"[{label}] " if label else ""
+            print(
+                f"{tag}sim {sim + 1}/{cfg['sims']} seed={seed} "
+                f"nitr={report.nitr} nfe={report.nfe} fval={report.fval:.6e} "
+                f"nrmg={report.nrmg:.3e} feasi={report.feasi:.3e} {report.termination}"
+            )
+    aggregate = []
+    for point, label, rows in zip(points, labels, by_point):
+        point_agg = [{**point, **row} for row in _aggregate(rows)]
         aggregate += point_agg
         _print_aggregate(point_agg, f"aggregate over {cfg['sims']} runs {label}".rstrip())
-        if cfg["history"]:
-            records = reports[0].to_dict(include_history=True)["history"]
-            history += [{**point, **record} for record in records]
+    runs = [row for rows in by_point for row in rows]
+    keys, outdir = list(points[0]), Path(cfg["out"])
     _write_csv(outdir / "runs.csv", [*keys, *_RUN_COLUMNS, "termination"], runs)
     _write_csv(outdir / "aggregate.csv", [*keys, "stat", *_AGG_COLUMNS], aggregate)
     if history:
@@ -190,11 +182,12 @@ def _parse_alphas(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"range needs a finite start:step:stop with step > 0, got {text!r}"
             )
-        vals, v = [], start
-        while v <= stop + 1e-12:
-            vals.append(round(v, 12))
-            v += step
-        return vals
+        last = (stop - start + 1e-12) / step  # index of the last point, before flooring
+        if last >= 1001:
+            raise argparse.ArgumentTypeError(
+                f"range gives more than 1001 points (a 1e-3 grid on [0, 1]), got {text!r}"
+            )
+        return [round(start + i * step, 12) for i in range(math.floor(max(last, -1.0)) + 1)]
     return [float(s) for s in text.split(",") if s.strip()]
 
 
@@ -226,11 +219,11 @@ def _typed_like(value, default) -> bool:
     return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, kind)
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict]]:
+def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], list]:
     """Merge defaults, the JSON config file, and explicit flags into the
-    instance config, the solver parameters and the command's points; check
-    each setting, the solver's ranges at every point included, before any
-    instance is built."""
+    instance config, the solver parameters, the command's points and each
+    point's solver; check each setting, every solver's ranges included,
+    before any instance is built."""
     defaults = {**_INSTANCE_DEFAULTS, **{f.name: f.default for f in fields(StiefelSolver)}}
     merged = dict(defaults)
     if args.config:
@@ -258,9 +251,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict]]:
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     cfg = {key: merged.pop(key) for key in _INSTANCE_DEFAULTS}
     points = _COMMANDS[args.command][1](cfg)
-    for point in points:
-        StiefelSolver(**{**merged, **point}).validate_params()
-    return cfg, merged, points
+    solvers = [StiefelSolver(**{**merged, **point}) for point in points]
+    for solver in solvers:
+        solver.validate_params()
+    return cfg, merged, points, solvers
 
 
 def main(argv=None) -> int:
@@ -277,8 +271,7 @@ def main(argv=None) -> int:
                              help="comma list '0,0.5,1' or range '0:0.05:1'")
     args = parser.parse_args(argv)
     try:
-        cfg, solver_params, points = _resolve_config(args)
-        return _run_points(cfg, solver_params, points, Path(cfg["out"]))
+        return _run_points(*_resolve_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

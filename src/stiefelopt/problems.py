@@ -381,6 +381,8 @@ class EigProblem(_SharedWork):
         """Random Gram matrix ``A = M^T M`` for standard-normal ``M``;
         ``with_oracle`` stores the ``p`` largest eigenvalues from a dense
         symmetric eigensolver for later scoring."""
+        if not 1 <= p <= n:
+            raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
         rng = as_generator(seed if rng is None else rng)
         m = rng.standard_normal((n, n))
         a = m.T @ m  # exactly symmetric as numpy forms it

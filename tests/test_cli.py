@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from stiefelopt import StiefelSolver
+from stiefelopt import StiefelSolver, cli
 from stiefelopt.cli import _fmt, _parse_alphas, main
 
 RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
@@ -260,6 +260,33 @@ def test_parse_alphas_forms():
     for text in ("0:nan:1", "0:0.1:inf"):
         with pytest.raises(argparse.ArgumentTypeError, match="finite start:step:stop"):
             _parse_alphas(text)
+    # A step tiny against the span is refused from the point count, before
+    # any list is built; a 1e-3 grid on [0, 1] is the largest range taken.
+    for text in ("0:1e-300:1", "0:0.1:1e300"):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 1001 points"):
+            _parse_alphas(text)
+    assert _parse_alphas("0:0.1:1") == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    grid = _parse_alphas("0:0.001:1")
+    assert len(grid) == 1001 and grid[1] == 0.001 and grid[-1] == 1.0
+
+
+# -- one instance per seed -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [["compare"], ["sweep", "--alphas", "0,0.5,1"]],
+                         ids=["compare", "sweep"])
+def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeypatch, command):
+    build, built = cli._build_instance, []
+
+    def counting(cfg, seed):
+        built.append(seed)
+        return build(cfg, seed)
+
+    monkeypatch.setattr(cli, "_build_instance", counting)
+    assert main([*command, "--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
+                 "--sims", "2", "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+    assert built == [7, 8]
+    assert capsys.readouterr().out.count("instance:") == 1
 
 
 # -- one schema ----------------------------------------------------------------------------

@@ -285,6 +285,19 @@ def test_eig_generated_instances_are_psd_with_oracle():
     assert EigProblem.generate(5, 2, with_oracle=False, seed=0).oracle_eigs is None
 
 
+@pytest.mark.parametrize("p", [6, 0])
+def test_eig_generate_refuses_p_before_any_draw(p):
+    # The check comes before the O(n^3) draw, Gram product and oracle, so a
+    # refused shape consumes none of the caller's stream.
+    gen = as_generator(4)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="need 1 <= p <= n"):
+        EigProblem.generate(5, p, rng=gen)
+    assert gen.bit_generator.state == state
+    npt.assert_array_equal(EigProblem.generate(5, 2, rng=gen).a,
+                           EigProblem.generate(5, 2, seed=4).a)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 12), st.integers(-16, -12), st.integers(0, 2**32 - 1))
 def test_eig_matrix_is_stored_exactly_symmetric(n, exponent, seed):
