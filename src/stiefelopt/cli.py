@@ -6,8 +6,11 @@ equal), ``sweep`` one per ``alpha`` of its grid with ``beta = 1 - alpha``.
 Each of the N seeded instances is built once and solved at every point.
 Every subcommand writes ``runs.csv``, ``aggregate.csv``, ``summary.json``
 and, with ``--history``, ``history.csv``, rows led by the point's settings.
+``runs.csv``'s header is the run record's keys, as in ``summary.json["runs"]``.
 Settings come from built-in defaults, optionally a JSON config file, then
-command-line flags, in that order of precedence.
+command-line flags, in that order of precedence. ``_defaults(command)``
+declares each setting once, as one flag and one config key; an instance
+setting is checked by ``_resolve_config``, a solver one by ``validate_params``.
 """
 
 from __future__ import annotations
@@ -24,24 +27,25 @@ from .linalg import as_generator, random_orthonormal
 from .problems import EigProblem, EnergyProblem, WoppProblem
 from .solver import PARAM_CHOICES, StiefelSolver
 
-_INSTANCE_DEFAULTS = {
-    "family": "wopp",
-    "n": 50,
-    "p": 10,
-    "ptype": 1,
-    "mu": 1.0,
-    "known_solution": False,
-    "sims": 1,
-    "seed": 0,
-    "out": "bench_out",
-    "history": False,
-    "alphas": [0.0, 0.5, 1.0],
+#: ``key -> (default, help)`` of each instance setting; ``alphas`` is sweep's.
+_SETTINGS = {
+    "family": ("wopp", None),
+    "n": (50, "manifold rows"),
+    "p": (10, "manifold columns"),
+    "ptype": (1, "wopp conditioning class"),
+    "mu": (1.0, "energy coupling weight"),
+    "known_solution": (False, "wopp: build B from a known feasible solution"),
+    "sims": (1, "number of seeded runs"),
+    "seed": (0, "base seed (run i uses seed+i)"),
+    "out": ("bench_out", "output directory"),
+    "history": (False, "also write per-iteration history of the first run"),
+    "alphas": ([0.0, 0.5, 1.0], "comma list '0,0.5,1' or range '0:0.05:1'"),
 }
 
-#: Allowed values of the settings that have them, for flags and config alike.
+#: Allowed values of the settings that have them, offered as the flags' choices.
 _CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
-_RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
-_AGG_COLUMNS = _RUN_COLUMNS[2:]  # all but sim and seed
+#: The run-record columns that ``aggregate.csv`` reduces to min/mean/max.
+_AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
 #: Each subcommand's help and its points, the solver-setting overrides it runs.
 _COMMANDS = {
     "run": ("run one family for N seeded simulations", lambda cfg: [{}]),
@@ -142,7 +146,7 @@ def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: lis
             print(naming)
         for point, solver, label, rows in zip(points, solvers, labels, by_point):
             report = solver.solve(problem, x0)
-            rows.append({**point, **report.to_dict(), "sim": sim, "seed": seed,
+            rows.append({**point, "sim": sim, "seed": seed, **report.to_dict(),
                          "error": error(report)})
             if sim == 0 and cfg["history"]:
                 records = report.to_dict(include_history=True)["history"]
@@ -159,9 +163,9 @@ def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: lis
         aggregate += point_agg
         _print_aggregate(point_agg, f"aggregate over {cfg['sims']} runs {label}".rstrip())
     runs = [row for rows in by_point for row in rows]
-    keys, outdir = list(points[0]), Path(cfg["out"])
-    _write_csv(outdir / "runs.csv", [*keys, *_RUN_COLUMNS, "termination"], runs)
-    _write_csv(outdir / "aggregate.csv", [*keys, "stat", *_AGG_COLUMNS], aggregate)
+    outdir = Path(cfg["out"])
+    _write_csv(outdir / "runs.csv", list(runs[0]), runs)
+    _write_csv(outdir / "aggregate.csv", list(aggregate[0]), aggregate)
     if history:
         _write_csv(outdir / "history.csv", list(history[0]), history)
     summary = {"config": cfg, "solver_params": solver_params, "points": points,
@@ -191,26 +195,11 @@ def _parse_alphas(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=str, default=None, help="JSON config file")
-    sub.add_argument("--family", choices=_CHOICES["family"], default=None)
-    sub.add_argument("--n", type=int, default=None, help="manifold rows")
-    sub.add_argument("--p", type=int, default=None, help="manifold columns")
-    sub.add_argument("--ptype", type=int, choices=_CHOICES["ptype"], default=None,
-                     help="wopp conditioning class")
-    sub.add_argument("--mu", type=float, default=None, help="energy coupling weight")
-    sub.add_argument("--known-solution", dest="known_solution",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="wopp: build B from a known feasible solution")
-    sub.add_argument("--sims", type=int, default=None, help="number of seeded runs")
-    sub.add_argument("--seed", type=int, default=None, help="base seed (run i uses seed+i)")
-    sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--history", action=argparse.BooleanOptionalAction, default=None,
-                     help="also write per-iteration history of the first run")
-    # one override per solver parameter, typed like its default
-    for f in fields(StiefelSolver):
-        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
-                         choices=_CHOICES.get(f.name), default=None)
+def _defaults(command: str) -> dict:
+    """``command``'s settings as ``key -> (default, help)``: the instance
+    settings (``alphas`` for ``sweep`` only), then ``StiefelSolver``'s fields."""
+    instance = {k: v for k, v in _SETTINGS.items() if k != "alphas" or command == "sweep"}
+    return {**instance, **{f.name: (f.default, None) for f in fields(StiefelSolver)}}
 
 
 def _typed_like(value, default) -> bool:
@@ -222,9 +211,10 @@ def _typed_like(value, default) -> bool:
 def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], list]:
     """Merge defaults, the JSON config file, and explicit flags into the
     instance config, the solver parameters, the command's points and each
-    point's solver; check each setting, every solver's ranges included,
-    before any instance is built."""
-    defaults = {**_INSTANCE_DEFAULTS, **{f.name: f.default for f in fields(StiefelSolver)}}
+    point's solver. Each setting is checked once before any instance is
+    built: an instance setting here, a solver setting by ``validate_params``
+    at every point."""
+    defaults = {key: default for key, (default, _) in _defaults(args.command).items()}
     merged = dict(defaults)
     if args.config:
         try:
@@ -238,18 +228,20 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
                 raise SystemExit(f"error: unknown config key {key!r}")
         merged.update(loaded)
     merged.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
-    for key, default in defaults.items():
-        value = merged[key]
-        if not _typed_like(value, default):
-            raise SystemExit(f"error: {key} must be {type(default).__name__}, got {value!r}")
+    cfg = {key: merged.pop(key) for key in defaults if key in _SETTINGS}
+    for key, value in cfg.items():
+        if not _typed_like(value, defaults[key]):
+            raise SystemExit(f"error: {key} must be {type(defaults[key]).__name__}, got {value!r}")
         if key in _CHOICES and value not in _CHOICES[key]:
             raise SystemExit(f"error: {key} must be one of {_CHOICES[key]}, got {value!r}")
-    if merged["sims"] < 1:
-        raise SystemExit(f"error: sims must be an int >= 1, got {merged['sims']!r}")
-    alphas = merged["alphas"]
-    if not (alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
+    if cfg["sims"] < 1:
+        raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
+    alphas = cfg.get("alphas")  # sweep's grid; run and compare have none
+    if alphas is not None and not (
+            alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
-    cfg = {key: merged.pop(key) for key in _INSTANCE_DEFAULTS}
+    if not 1 <= cfg["p"] <= cfg["n"]:
+        raise SystemExit(f"error: St(n, p) needs 1 <= p <= n, got n={cfg['n']}, p={cfg['p']}")
     points = _COMMANDS[args.command][1](cfg)
     solvers = [StiefelSolver(**{**merged, **point}) for point in points]
     for solver in solvers:
@@ -265,10 +257,15 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common_flags(sub)
-        if name == "sweep":
-            sub.add_argument("--alphas", type=_parse_alphas, default=None,
-                             help="comma list '0,0.5,1' or range '0:0.05:1'")
+        sub.add_argument("--config", help="JSON config file")
+        for key, (default, doc) in _defaults(name).items():
+            if isinstance(default, bool):
+                kind = {"action": argparse.BooleanOptionalAction}
+            elif key == "alphas":
+                kind = {"type": _parse_alphas}
+            else:
+                kind = {"type": type(default), "choices": _CHOICES.get(key)}
+            sub.add_argument("--" + key.replace("_", "-"), help=doc, **kind)
     args = parser.parse_args(argv)
     try:
         return _run_points(*_resolve_config(args))

@@ -276,7 +276,11 @@ class EnergyProblem(_SharedWork):
     def __init__(self, n: int, k: int, mu: float = 1.0):
         if n < k or k < 1:
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-        if not 0 <= mu < math.inf:
+        try:
+            finite = 0 <= mu and math.isfinite(mu)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError(f"mu must be finite and >= 0, got {mu}")
         self.mu = float(mu)
         self.shape = (n, k)

@@ -316,7 +316,11 @@ class StiefelSolver:
             if isinstance(f.default, float):
                 if isinstance(value, bool) or not isinstance(value, Real):
                     raise ValueError(f"{f.name} must be a real number, got {value!r}")
-                if not math.isfinite(value):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int too large for a float
+                    finite = False
+                if not finite:
                     raise ValueError(f"{f.name} must be finite, got {value}")
         if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta > 0):
             raise ValueError(

@@ -11,8 +11,10 @@ import pytest
 from stiefelopt import StiefelSolver, cli
 from stiefelopt.cli import _fmt, _parse_alphas, main
 
-RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "time_s", "fval", "nrmg", "feasi", "error"]
-AGG_COLUMNS = RUN_COLUMNS[2:]
+# The run record's keys after the point's: sim and seed, SolverReport.to_dict(), error.
+RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi",
+               "termination", "name", "converged", "error"]
+AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
 
 
 def _read_csv(path):
@@ -42,12 +44,13 @@ def test_run_writes_per_run_and_aggregate_tables(tmp_path, capsys):
     assert main(_run_args(tmp_path)) == 0
     out = tmp_path / "out"
     header, rows = _read_csv(out / "runs.csv")
-    assert header == [*RUN_COLUMNS, "termination"]
+    assert header == RUN_COLUMNS
     assert [r[0] for r in rows] == ["0", "1", "2"]
     assert [r[1] for r in rows] == ["0", "1", "2"]  # seed = base + sim
     # Known-solution instances report the objective value as the error.
+    error, fval = header.index("error"), header.index("fval")
     for row in rows:
-        assert float(row[8]) == float(row[5]) and float(row[5]) <= 1e-8
+        assert float(row[error]) == float(row[fval]) and float(row[fval]) <= 1e-8
 
     agg_header, agg_rows = _read_csv(out / "aggregate.csv")
     assert agg_header[0] == "stat"
@@ -84,7 +87,7 @@ def test_runs_table_and_summary_runs_are_one_schema(tmp_path):
     assert main(_run_args(tmp_path)) == 0
     header, rows = _read_csv(tmp_path / "out" / "runs.csv")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert header == [*RUN_COLUMNS, "termination"]
+    assert header == RUN_COLUMNS
     assert rows == [[_fmt(run[col]) for col in header] for run in summary["runs"]]
 
 
@@ -117,12 +120,12 @@ def test_run_history_table(tmp_path):
 def test_run_error_column_by_family(tmp_path):
     assert main(["run", "--family", "eig", "--n", "12", "--p", "3", "--sims", "1",
                  "--out", str(tmp_path / "eig")]) == 0
-    _, rows = _read_csv(tmp_path / "eig" / "runs.csv")
-    assert float(rows[0][8]) >= 0.0  # eigenvalue relative error
+    header, rows = _read_csv(tmp_path / "eig" / "runs.csv")
+    assert float(rows[0][header.index("error")]) >= 0.0  # eigenvalue relative error
     assert main(["run", "--family", "energy", "--n", "20", "--p", "3", "--sims", "1",
                  "--out", str(tmp_path / "energy")]) == 0
-    _, rows = _read_csv(tmp_path / "energy" / "runs.csv")
-    assert rows[0][8] == ""  # no oracle for this family
+    header, rows = _read_csv(tmp_path / "energy" / "runs.csv")
+    assert rows[0][header.index("error")] == ""  # no oracle for this family
 
 
 def test_run_exit_code_flags_nonconvergence(tmp_path):
@@ -144,7 +147,7 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
     ]
     assert main(["compare", *settings, "--out", str(tmp_path / "cmp")]) == 0
     header, rows = _read_csv(tmp_path / "cmp" / "runs.csv")
-    assert header == ["mode", *RUN_COLUMNS, "termination"]
+    assert header == ["mode", *RUN_COLUMNS]
     mono = [r[1:] for r in rows if r[0] == "monotone"]
     nonm = [r[1:] for r in rows if r[0] == "nonmonotone"]
     assert len(mono) + len(nonm) == len(rows)
@@ -192,7 +195,7 @@ def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
                 "--sims", "2", "--seed", "3"]
     assert main(["sweep", *settings, "--alphas", "0.5,1", "--out", str(tmp_path / "sw")]) == 0
     header, rows = _read_csv(tmp_path / "sw" / "runs.csv")
-    assert header == ["alpha", "beta", *RUN_COLUMNS, "termination"]
+    assert header == ["alpha", "beta", *RUN_COLUMNS]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
         ("0.5", "0.5", "0", "3"), ("0.5", "0.5", "1", "4"),
         ("1.0", "0.0", "0", "3"), ("1.0", "0.0", "1", "4"),
@@ -202,7 +205,7 @@ def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
         out = tmp_path / f"run_{alpha}"
         assert main(["run", *settings, "--alpha", alpha, "--beta", beta, "--out", str(out)]) == 0
         run_header, run_rows = _read_csv(out / "runs.csv")
-        keep = [c for c in [*RUN_COLUMNS, "termination"] if c != "time_s"]
+        keep = [c for c in RUN_COLUMNS if c != "time_s"]
         assert [[r[header.index(c)] for c in keep] for r in chunk] == [
             [r[run_header.index(c)] for c in keep] for r in run_rows
         ]
@@ -310,7 +313,7 @@ def test_every_subcommand_writes_the_same_files_and_columns(tmp_path, command, k
     points = summary["points"]
     assert [list(point) for point in points] == [keys] * len(points)
     header, rows = _read_csv(out / "runs.csv")
-    assert header == [*keys, *RUN_COLUMNS, "termination"]
+    assert header == [*keys, *RUN_COLUMNS]
     assert len(rows) == 2 * len(points) > 0
     assert rows == [[_fmt(run[col]) for col in header] for run in summary["runs"]]
     header, rows = _read_csv(out / "aggregate.csv")
@@ -394,20 +397,28 @@ def test_sims_below_one_is_an_error(tmp_path, sims):
 _BAD_SETTINGS = {
     "known_solution-string": ({"known_solution": "false"}, "known_solution must be bool"),
     "n-string": ({"n": "12"}, "n must be int"),
-    "alpha-string": ({"alpha": "0.5"}, "alpha must be float"),
-    "tau0-string": ({"tau0": "1e-2"}, "tau0 must be float"),
+    "alpha-string": ({"alpha": "0.5"}, "alpha must be a real number"),
+    "tau0-string": ({"tau0": "1e-2"}, "tau0 must be a real number"),
     "seed-float": ({"seed": 1.5}, "seed must be int"),
-    "window-bool": ({"window": True}, "window must be int"),
+    "window-bool": ({"window": True}, "window must be an int >= 1"),
     "top-level-list": ([1, 2], "must be a JSON object"),
     "family-unknown": ({"family": "ridge"}, "family must be one of"),
     "mode-unknown": ({"mode": "fast"}, "mode must be one of"),
-    "max_iters-float": ({"max_iters": 10.0}, "max_iters must be int"),
-    "p-above-n": ({"p": 60}, "need m >= n"),
+    "max_iters-float": ({"max_iters": 10.0}, "max_iters must be an int >= 1"),
+    "p-above-n": ({"p": 60}, "St(n, p) needs 1 <= p <= n, got n=50, p=60"),
     "ptype-unknown": ({"ptype": 7}, "ptype must be one of"),
-    "flags-p-above-n": (("--n", "5", "--p", "6"), "need m >= n"),
+    "flags-p-above-n": (("--n", "5", "--p", "6"), "St(n, p) needs 1 <= p <= n, got n=5, p=6"),
+    "energy-p-above-n": ({"family": "energy", "n": 5, "p": 6}, "St(n, p) needs 1 <= p <= n"),
+    "eig-p-above-n": ({"family": "eig", "n": 5, "p": 6}, "St(n, p) needs 1 <= p <= n"),
+    "eig-p-zero": ({"family": "eig", "p": 0}, "St(n, p) needs 1 <= p <= n, got n=50, p=0"),
     "step_init-auto": ({"step_init": "auto"}, "step_init must be one of"),
     "flags-delta-above-one": (("--delta", "2"), "delta must be in (0, 1), got 2.0"),
     "flags-mu-nan": (("--family", "energy", "--mu", "nan"), "mu must be finite"),
+    # A 401-digit integer is a finite JSON number that no float can hold.
+    "alpha-int-too-large": ({"alpha": 10**400}, "alpha must be finite"),
+    "tau0-int-too-large": ({"tau0": 10**400}, "tau0 must be finite"),
+    "mu-int-too-large": ({"family": "energy", "mu": 10**400}, "mu must be finite"),
+    "run-alphas": ({"alphas": [0.5]}, "unknown config key 'alphas'"),
 }
 
 
@@ -472,6 +483,36 @@ def test_config_file_and_flags_share_one_declaration(tmp_path):
     from_file = _without_timing_or_out(tmp_path / "file")
     assert from_file == _without_timing_or_out(tmp_path / "flags")
     assert from_file[1]["solver_params"]["tau0"] == 1.0
+
+
+def test_each_subcommand_has_a_config_key_for_each_flag_and_no_other(tmp_path, monkeypatch):
+    # Every flag's dest, per subcommand, from the parsed arguments main hands on.
+    resolve, dests = cli._resolve_config, {}
+
+    def capture(args):
+        dests.setdefault(args.command, {k for k in vars(args) if k not in ("command", "config")})
+        return resolve(args)
+
+    monkeypatch.setattr(cli, "_resolve_config", capture)
+    monkeypatch.setattr(cli, "_run_points", lambda *resolved: 0)  # no solve, no output
+    commands = ["run", "compare", "sweep"]
+    for command in commands:
+        main([command, "--out", str(tmp_path / "out")])
+    # A config key a command does not have is refused as unknown; any other
+    # key with a null value gets past that test and is refused (or overridden) later.
+    cfg_path = tmp_path / "cfg.json"
+    for command in commands:
+        accepted = set()
+        for key in set().union(*dests.values()):
+            cfg_path.write_text(json.dumps({key: None}))
+            try:
+                main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+                accepted.add(key)
+            except SystemExit as exc:
+                if "unknown config key" not in str(exc.code):
+                    accepted.add(key)
+        assert accepted == dests[command], command
+    assert "alphas" in dests["sweep"] - dests["run"]
 
 
 def test_unreadable_config_is_an_error(tmp_path):

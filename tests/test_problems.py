@@ -224,6 +224,13 @@ def test_energy_refuses_a_non_finite_mu(mu):
         EnergyProblem(20, 3, mu=mu)
 
 
+@pytest.mark.parametrize("mu", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_energy_refuses_an_int_mu_too_large_for_a_float(mu):
+    # float(10**400) overflows: refused as a setting, not raised as OverflowError.
+    with pytest.raises(ValueError, match="^mu must be finite and >= 0, got "):
+        EnergyProblem(12, 3, mu=mu)
+
+
 def test_energy_mu_zero_is_the_plain_quadratic():
     problem = EnergyProblem(9, 2, mu=0.0)
     lap = problem.laplacian()

@@ -160,6 +160,14 @@ def test_float_parameters_refuse_infinity_by_name(name):
         solver.solve(_toy_quadratic(), np.array([[0.6], [0.8]]))
 
 
+@pytest.mark.parametrize("name", ["alpha", "tau0", "eta"])
+def test_float_parameters_refuse_an_int_too_large_for_a_float_by_name(name):
+    # 10**400 is a finite int, but float(10**400) overflows: refused as a
+    # setting, not raised as OverflowError.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got 1000"):
+        StiefelSolver(**{name: 10**400}).validate_params()
+
+
 def test_float_parameters_accept_integers_and_numpy_floats():
     x0 = np.array([[0.6], [0.8]])
     a = StiefelSolver(tau0=1, eta=np.float64(0.85), rho1=np.float32(1e-4)).solve(
