@@ -23,6 +23,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .linalg import as_generator, random_orthonormal
 from .problems import EigProblem, EnergyProblem, WoppProblem
 from .solver import PARAM_CHOICES, StiefelSolver
@@ -242,6 +244,11 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
         raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     if not 1 <= cfg["p"] <= cfg["n"]:
         raise SystemExit(f"error: St(n, p) needs 1 <= p <= n, got n={cfg['n']}, p={cfg['p']}")
+    if cfg["n"] > np.iinfo(np.intp).max:
+        raise SystemExit(
+            f"error: n must be at most {np.iinfo(np.intp).max}, the largest array "
+            f"dimension, got n={cfg['n']}"
+        )
     points = _COMMANDS[args.command][1](cfg)
     solvers = [StiefelSolver(**{**merged, **point}) for point in points]
     for solver in solvers:
@@ -271,6 +278,9 @@ def main(argv=None) -> int:
         return _run_points(*_resolve_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

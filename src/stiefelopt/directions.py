@@ -40,7 +40,8 @@ class GradientSplit:
         ``A = G X^T - X G^T`` does.
     complement : numpy.ndarray, shape (n, p)
         ``(I - X X^T) G``, computed as ``G - X (X^T G)`` so no ``n x n``
-        intermediate is formed.
+        intermediate is formed.  Both parts share the one ``p x p`` product
+        ``X^T G``: ``canonical`` is ``G - X (X^T G)^T``.
     canonical_norm, complement_norm : float
         Frobenius norms of the two parts, from which the solver's gradient
         norm, :attr:`skew_norm` and :func:`descent_derivative` are read.
@@ -61,13 +62,23 @@ def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
     """Split the ambient gradient ``G`` at ``point`` into tangent components.
 
     ``grad`` comes from the objective, so this is where it is validated.
+    ``X^T G`` is formed once; its transpose stands for ``G^T X``, so the split
+    costs three ``n p^2`` products.  Each part is its product with ``X``,
+    overwritten by ``G`` minus it, so the only ``n x p`` arrays made are the
+    two parts returned.
     """
     g = as_matrix(grad, "grad")
     if g.shape != point.shape:
         raise ValueError(f"shape mismatch: {g.shape} vs {point.shape}")
     x = point.x
-    canonical = g - x @ (g.T @ x)
-    complement = g - x @ (x.T @ g)
+    xtg = x.T @ g  # G^T X is its transpose: three n p^2 products in all
+    # G^T X as a C-ordered p x p copy: at some shapes (St(100, 20) among them)
+    # OpenBLAS sums a transposed operand in another order, so the view would
+    # change the bits of canonical.
+    canonical = x @ xtg.T.copy()
+    np.subtract(g, canonical, out=canonical)
+    complement = x @ xtg
+    np.subtract(g, complement, out=complement)
     return GradientSplit(
         canonical, complement, frobenius_norm(canonical), frobenius_norm(complement)
     )

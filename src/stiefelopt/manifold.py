@@ -228,7 +228,8 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
     if tau == 0.0:
         return point, True
     x = point.x
-    step = x - tau * h
+    step = tau * h
+    np.subtract(x, step, out=step)  # X - tau*H with one n x p array
     e = step.T @ step
     e.flat[:: e.shape[0] + 1] -= 1.0
     e_norm = frobenius_norm(e)

@@ -231,15 +231,21 @@ class WoppProblem(_SharedWork):
         b = rng.random((m, n))
         return cls(a, c, b, ptype=ptype, solution=None, seed=seed)
 
+    def _residual(self, x: np.ndarray) -> np.ndarray:
+        """``A X C - B``, the difference taken in place in the product."""
+        r = self.a @ x @ self.c
+        r -= self.b
+        return r
+
     def value(self, x: np.ndarray) -> float:
-        r = self.a @ x @ self.c - self.b
+        r = self._residual(x)
         self._keep(x, r)
         return 0.5 * float(np.sum(r * r))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         r = self._take(x)
         if r is None:
-            r = self.a @ x @ self.c - self.b
+            r = self._residual(x)
         return self.a.T @ r @ self.c.T
 
     def to_dict(self) -> dict:
@@ -326,7 +332,10 @@ class EnergyProblem(_SharedWork):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         lx, y = self._take(x) or (self._apply_l(x), self._solve_l(self.row_density(x)))
-        return lx + self.mu * y[:, None] * x
+        # The bits of lx + mu * y[:, None] * x, summed into the one n x p product.
+        g = (self.mu * y)[:, None] * x
+        g += lx
+        return g
 
     def to_dict(self) -> dict:
         return {
@@ -384,17 +393,23 @@ class EigProblem(_SharedWork):
     ) -> "EigProblem":
         """Random Gram matrix ``A = M^T M`` for standard-normal ``M``;
         ``with_oracle`` stores the ``p`` largest eigenvalues from a dense
-        symmetric eigensolver for later scoring."""
+        symmetric eigensolver for later scoring.
+
+        At most two ``n x n`` arrays are alive at once: ``M`` is released
+        after the Gram product, and the oracle reads the stored ``A`` after
+        the caller's copy is gone (``eigvalsh`` holds the second)."""
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
         rng = as_generator(seed if rng is None else rng)
         m = rng.standard_normal((n, n))
         a = m.T @ m  # exactly symmetric as numpy forms it
-        oracle = None
+        del m
+        problem = cls(a, p, seed=seed)
+        del a  # problem.a is its bit-equal copy, 0.5 * (A + A^T)
         if with_oracle:
-            eigs = np.linalg.eigvalsh(a)
-            oracle = eigs[::-1][:p].copy()
-        return cls(a, p, oracle_eigs=oracle, seed=seed)
+            eigs = np.linalg.eigvalsh(problem.a)
+            problem.oracle_eigs = eigs[::-1][:p].copy()
+        return problem
 
     def _times_a(self, x: np.ndarray) -> np.ndarray:
         """``A X``, formed as ``(X^T A)^T`` (``A`` is exactly symmetric)."""

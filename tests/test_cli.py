@@ -419,6 +419,8 @@ _BAD_SETTINGS = {
     "tau0-int-too-large": ({"tau0": 10**400}, "tau0 must be finite"),
     "mu-int-too-large": ({"family": "energy", "mu": 10**400}, "mu must be finite"),
     "run-alphas": ({"alphas": [0.5]}, "unknown config key 'alphas'"),
+    # Larger than any array dimension: refused by name before numpy sees it.
+    "n-above-intp": ({"n": 10**41, "p": 3}, f"the largest array dimension, got n={10**41}"),
 }
 
 
@@ -440,6 +442,23 @@ def test_bad_settings_are_refused_before_any_output(tmp_path, capsys, settings, 
     assert "instance:" not in captured.out  # no echo of an instance never built
     assert error.startswith("error: ") and error.count("error:") == 1
     assert message in error
+    assert not out.exists()
+
+
+def test_out_of_memory_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch):
+    # A size that passes every check may still not fit: numpy raises
+    # MemoryError, which ends the run as one error line, not a traceback.
+    message = "Unable to allocate 149. GiB for an array with shape (2, 10000000000)"
+
+    def exhausted(cfg, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_build_instance", exhausted)
+    out = tmp_path / "out"
+    code = main(["run", "--family", "energy", "--out", str(out)])
+    error = capsys.readouterr().err
+    assert code == 1
+    assert error == f"error: out of memory: {message}\n"
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from stiefelopt import (
 
 from stiefelopt.directions import GradientSplit, _mix
 
-from helpers import skew_factor
+from helpers import skew_factor, traced_peak
 
 
 def _random_case(rng, n=None, p=None):
@@ -153,6 +153,42 @@ def test_mix_is_bit_equal_to_the_plain_formula(case):
     split = GradientSplit(canonical, complement, 0.0, 0.0)  # _mix reads only the parts
     expected = alpha * canonical + beta * complement
     assert _mix(split, alpha, beta).tobytes() == expected.tobytes()
+
+
+@st.composite
+def _plain_split_cases(draw):
+    """A point and a gradient (C- or F-ordered), square shapes among them."""
+    n = draw(st.integers(1, 40))
+    p = n if draw(st.booleans()) else draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    grad = rng.standard_normal((n, p))
+    return point, np.asfortranarray(grad) if draw(st.booleans()) else grad
+
+
+@settings(deadline=None, max_examples=200)
+@given(_plain_split_cases())
+def test_split_parts_match_the_plain_formulas(case):
+    # Both parts come from the one product X^T G; each is checked against its
+    # own two-product formula.
+    point, grad = case
+    x = point.x
+    split = gradient_split(point, grad)
+    scale = 1e-13 * max(frobenius_norm(grad), np.finfo(float).tiny)
+    assert frobenius_norm(split.canonical - (grad - x @ (grad.T @ x))) <= scale
+    assert frobenius_norm(split.complement - (grad - x @ (x.T @ grad))) <= scale
+
+
+def test_split_holds_no_third_n_by_p_array():
+    # The two parts returned are the only n x p arrays made: X^T G is p x p
+    # and each part's product with X is overwritten by G minus it.
+    n, p = 2000, 10
+    rng = np.random.default_rng(0)
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    grad = rng.standard_normal((n, p))
+    split, peak = traced_peak(lambda: gradient_split(point, grad))
+    assert split.canonical.shape == split.complement.shape == (n, p)
+    assert peak <= 2.5 * 8 * n * p
 
 
 # -- descent derivative -----------------------------------------------------------------

@@ -27,6 +27,8 @@ from stiefelopt import (
     save_problem,
 )
 
+from helpers import traced_peak
+
 
 def _fd_check(problem, x, rtol=1e-6):
     analytic = problem.gradient(x)
@@ -305,6 +307,17 @@ def test_eig_generate_refuses_p_before_any_draw(p):
                            EigProblem.generate(5, 2, seed=4).a)
 
 
+def test_eig_generate_holds_at_most_two_n_by_n_arrays():
+    # M is released after A = M^T M and the oracle reads the stored A once the
+    # caller's copy is gone, so eigvalsh's copy is the second n x n array.
+    n, p = 300, 4
+    problem, peak = traced_peak(lambda: EigProblem.generate(n, p, seed=7))
+    assert peak < 2.5 * 8 * n * n
+    m = as_generator(7).standard_normal((n, n))
+    assert problem.a.tobytes() == (m.T @ m).tobytes()
+    assert problem.oracle_eigs.tobytes() == np.linalg.eigvalsh(problem.a)[::-1][:p].tobytes()
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 12), st.integers(-16, -12), st.integers(0, 2**32 - 1))
 def test_eig_matrix_is_stored_exactly_symmetric(n, exponent, seed):
@@ -414,6 +427,28 @@ def test_gradient_after_value_is_bit_equal_to_a_fresh_gradient(name, shape, seed
     shared = problem.gradient(x)
     assert shared.tobytes() == fresh.tobytes()
     assert problem.gradient(x).tobytes() == fresh.tobytes()  # slot taken: recomputed
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 30).flatmap(lambda p: st.tuples(st.integers(p, 40), st.just(p))),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_in_place_rewrites_keep_the_plain_formulas_bits(shape, mu, seed):
+    # The energy gradient and the WOPP residual take their difference or sum
+    # in place; the result has the bits of the plain expression.
+    n, p = shape
+    x = StiefelPoint(random_orthonormal(n, p, seed)).x
+    energy = EnergyProblem(n, p, mu=mu)
+    lx = energy._apply_l(x)
+    y = energy._solve_l(energy.row_density(x))
+    assert energy.gradient(x).tobytes() == (lx + energy.mu * y[:, None] * x).tobytes()
+    wopp = WoppProblem.generate(n, p, ptype=1 + seed % 3, seed=seed,
+                                known_solution=seed % 2 == 0)
+    r = wopp.a @ x @ wopp.c - wopp.b
+    assert wopp.value(x) == 0.5 * float(np.sum(r**2))
+    assert wopp.gradient(x).tobytes() == (wopp.a.T @ r @ wopp.c.T).tobytes()
 
 
 @settings(deadline=None, max_examples=60)
