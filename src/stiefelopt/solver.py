@@ -5,6 +5,10 @@
 gradient, ``tau_k`` comes from Armijo backtracking seeded either with a fixed
 step or with alternating Barzilai-Borwein trial steps, and acceptance is
 tested against a monotone or averaged non-monotone reference value.
+``solve`` drives ``StiefelSolver._step``, one iteration as a function, over a
+frozen ``_Iterate``; the :class:`Objective` evaluation order is unchanged.  A
+failed search ends a solve as ``LineSearchFailed``, and an accepted step that
+moved ``X`` by rounding alone as ``NoProgress``.
 
 The class follows estimator conventions: it is a dataclass whose fields are
 its hyperparameters, stored verbatim by the generated ``__init__`` and
@@ -21,11 +25,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from numbers import Integral, Real
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .directions import _mix, descent_derivative, gradient_split
+from .directions import GradientSplit, _mix, descent_derivative, gradient_split
 from .linalg import frobenius_norm, random_orthonormal
 from .linesearch import (
     NonmonotoneState,
@@ -78,6 +82,7 @@ class Termination(str, Enum):
     REL_CHANGE_MEAN = "RelChangeMean"
     MAX_ITERS = "MaxIters"
     LINE_SEARCH_FAILED = "LineSearchFailed"
+    NO_PROGRESS = "NoProgress"
 
     def __str__(self) -> str:  # plain value in reports and CSVs
         return self.value
@@ -89,6 +94,15 @@ _SUCCESS = frozenset(
 )
 
 
+#: An accepted step with ``relx`` at most this moved ``X`` by rounding alone
+#: (re-projecting a certified point moves it up to 5e-13) and ends the solve as
+#: ``NoProgress``; steps that make progress read 4e-9 and up in the tests.
+_ROUNDING_RELX = 1e-12
+
+#: ``(k, tau, relx, relf, fastpath, nfe)`` of history row 0: no step, one evaluation.
+_START = (0, math.nan, math.nan, math.nan, None, 1)
+
+
 @dataclass
 class IterationRecord:
     """One history row.
@@ -97,9 +111,9 @@ class IterationRecord:
     gradient norm, reference value, feasibility, and skew-factor norm, plus
     the transition that produced it (accepted ``tau``, relative changes,
     fast-path flag, objective evaluations spent).  ``slope`` is the
-    directional derivative of the step *leaving* this iterate (NaN on the
-    final row), so the sufficient-decrease inequality of step ``k -> k+1``
-    is re-checkable from rows ``k`` and ``k+1``.
+    directional derivative of the step *leaving* this iterate (NaN on a
+    final row that a stopping rule ended), so the sufficient-decrease
+    inequality of step ``k -> k+1`` is re-checkable from rows ``k`` and ``k+1``.
     """
 
     k: int
@@ -209,6 +223,21 @@ def stopping_check(
     if k >= max_iters:
         return Termination.MAX_ITERS
     return None
+
+
+class _Iterate(NamedTuple):
+    """The solve's state at ``X_k``: the point and its value, the gradient
+    split and mixed direction there, the acceptance reference, the BB pair
+    ``(S, R)`` of the step into ``X_k`` (``None`` at ``X_0``) and its history
+    row.  Frozen, and a tuple because one is built per iteration."""
+
+    point: StiefelPoint
+    fval: float
+    split: GradientSplit
+    direction: np.ndarray
+    state: NonmonotoneState
+    bb_pair: tuple[np.ndarray, np.ndarray] | None
+    record: IterationRecord
 
 
 #: Allowed values of the string-valued :class:`StiefelSolver` parameters,
@@ -386,40 +415,16 @@ class StiefelSolver:
         if point.shape != (n, p):
             raise ValueError(f"x0 shape {point.shape} != objective shape {(n, p)}")
 
-        eta = 0.0 if self.mode == "monotone" else self.eta
-        use_bb = self.step_init == "bb"
-        sqrt_n = math.sqrt(n)
-
         start = time.perf_counter()
         f_val = float(objective.value(point.x))
-        nfe = 1
-        split = gradient_split(point, objective.gradient(point.x))
-        direction = _mix(split, self.alpha, self.beta)
-        state = NonmonotoneState(q=1.0, c=f_val)
+        it = self._arrive(objective, point, f_val, NonmonotoneState(q=1.0, c=f_val))
         history: list[IterationRecord] = []
-        k = 0
-        # The transition into X_k; row 0 has none but the first evaluation.
-        tau, relx, relf, fastpath, step_nfe = math.nan, math.nan, math.nan, None, 1
-
+        nfe = 1
         while True:
-            history.append(
-                IterationRecord(
-                    k=k,
-                    fval=f_val,
-                    nrmg=split.canonical_norm,
-                    tau=tau,
-                    cval=state.c,
-                    relx=relx,
-                    relf=relf,
-                    fastpath=fastpath,
-                    feasibility=point.feasibility,
-                    skew_norm=split.skew_norm,
-                    nfe=step_nfe,
-                )
-            )
-            if k > 0 and callback is not None:
-                callback(k, point.x)
-            termination = stopping_check(
+            history.append(it.record)
+            if it.record.k > 0 and callback is not None:
+                callback(it.record.k, it.point.x)
+            outcome = stopping_check(
                 history,
                 epsilon=self.epsilon,
                 tolx=self.tolx,
@@ -427,73 +432,98 @@ class StiefelSolver:
                 window=self.window,
                 max_iters=self.max_iters,
             )
-            if termination is not None:
+            if outcome is None:
+                outcome, step_nfe = self._step(objective, it)
+                nfe += step_nfe
+            if isinstance(outcome, Termination):
                 break
-
-            # The BB pair (step_mat, resid) of the step into X_k exists from
-            # X_1 on; it is used only once the stopping rules let the solve go on.
-            if use_bb and k > 0:
-                bb1, bb2 = bb_steps(step_mat, resid)
-                if self.bb_mode == "bb1":
-                    raw = bb1
-                elif self.bb_mode == "bb2":
-                    raw = bb2
-                else:  # alternate on the memory index (k-1)
-                    raw = bb1 if (k - 1) % 2 == 0 else bb2
-                tau_next = clamp_step(raw, self.tau_min, self.tau_max)
-            else:
-                tau_next = self.tau0
-
-            slope = descent_derivative(split, self.alpha, self.beta)
-            history[-1].slope = slope
-            if not slope < 0:
-                # Only reachable with alpha = 0 at a point where the
-                # complement component has dried up: no certified descent.
-                termination = Termination.LINE_SEARCH_FAILED
-                break
-            ls = backtrack(
-                objective,
-                point,
-                direction,
-                slope,
-                tau_next,
-                state.c,
-                rho1=self.rho1,
-                delta=self.delta,
-                max_halvings=self.max_halvings,
-            )
-            nfe += ls.nfe
-            if not ls.accepted:
-                termination = Termination.LINE_SEARCH_FAILED
-                break
-
-            new_point = ls.point
-            step_mat = new_point.x - point.x
-            relx = frobenius_norm(step_mat) / sqrt_n
-            relf = abs(f_val - ls.value) / (abs(f_val) + 1.0)
-            new_split = gradient_split(new_point, objective.gradient(new_point.x))
-            new_direction = _mix(new_split, self.alpha, self.beta)
-            if self.bb_gradient == "canonical":
-                resid = new_split.canonical - split.canonical
-            else:
-                resid = new_direction - direction
-            state = nonmonotone_update(state, ls.value, eta)
-
-            k += 1
-            point, f_val, split, direction = new_point, ls.value, new_split, new_direction
-            tau, fastpath, step_nfe = ls.tau, ls.fastpath, ls.nfe
+            it = outcome
 
         elapsed = time.perf_counter() - start
         return SolverReport(
-            nitr=k,
+            nitr=it.record.k,
             nfe=nfe,
             nge=len(history),  # one gradient per row
             time_s=elapsed,
-            fval=f_val,
-            nrmg=split.canonical_norm,
-            feasi=point.feasibility,
-            termination=termination,
-            x=point.x,
+            fval=it.fval,
+            nrmg=it.split.canonical_norm,
+            feasi=it.point.feasibility,
+            termination=outcome,
+            x=it.point.x,
             history=history,
             name=getattr(objective, "name", ""),
         )
+
+    def _step(self, objective: Objective, it: _Iterate) -> tuple[_Iterate | Termination, int]:
+        """The step leaving ``it`` and the objective values it spent.
+
+        Returns the next iterate, or the :class:`Termination` that ends the
+        solve at ``it``.  Sets ``it.record.slope`` once the slope is known.
+        """
+        if it.bb_pair is None or self.step_init == "fixed":
+            tau = self.tau0
+        else:
+            bb1, bb2 = bb_steps(*it.bb_pair)
+            if self.bb_mode == "bb1":
+                raw = bb1
+            elif self.bb_mode == "bb2":
+                raw = bb2
+            else:  # alternate on the memory index k-1
+                raw = bb1 if (it.record.k - 1) % 2 == 0 else bb2
+            tau = clamp_step(raw, self.tau_min, self.tau_max)
+
+        it.record.slope = slope = descent_derivative(it.split, self.alpha, self.beta)
+        if not slope < 0:
+            # Only reachable with alpha = 0 at a point where the complement
+            # component has dried up: no certified descent.
+            return Termination.LINE_SEARCH_FAILED, 0
+        ls = backtrack(
+            objective,
+            it.point,
+            it.direction,
+            slope,
+            tau,
+            it.state.c,
+            rho1=self.rho1,
+            delta=self.delta,
+            max_halvings=self.max_halvings,
+        )
+        if not ls.accepted:
+            return Termination.LINE_SEARCH_FAILED, ls.nfe
+        step = ls.point.x - it.point.x
+        relx = frobenius_norm(step) / math.sqrt(ls.point.n)
+        if relx <= _ROUNDING_RELX:
+            return Termination.NO_PROGRESS, ls.nfe
+        eta = 0.0 if self.mode == "monotone" else self.eta
+        state = nonmonotone_update(it.state, ls.value, eta)
+        relf = abs(it.fval - ls.value) / (abs(it.fval) + 1.0)
+        row = (it.record.k + 1, ls.tau, relx, relf, ls.fastpath, ls.nfe)
+        return self._arrive(objective, ls.point, ls.value, state, it, step, row), ls.nfe
+
+    def _arrive(self, objective, point, fval, state, prev=None, step=None, row=_START) -> _Iterate:
+        """The iterate at ``point``, valued ``fval``, reached from ``prev`` by
+        ``step`` (``None`` at ``X_0``), with its split, direction, BB pair and
+        the history row whose ``(k, tau, relx, relf, fastpath, nfe)`` is ``row``."""
+        split = gradient_split(point, objective.gradient(point.x))
+        direction = _mix(split, self.alpha, self.beta)
+        if prev is None:
+            bb_pair = None
+        elif self.bb_gradient == "canonical":
+            bb_pair = (step, split.canonical - prev.split.canonical)
+        else:
+            bb_pair = (step, direction - prev.direction)
+        k, tau, relx, relf, fastpath, nfe = row
+        record = IterationRecord(
+            k=k,
+            fval=fval,
+            nrmg=split.canonical_norm,
+            tau=tau,
+            cval=state.c,
+            relx=relx,
+            relf=relf,
+            fastpath=fastpath,
+            feasibility=point.feasibility,
+            skew_norm=split.skew_norm,
+            nfe=nfe,
+        )
+        return _Iterate(point, fval, split, direction, state, bb_pair, record)

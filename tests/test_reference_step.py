@@ -1,0 +1,90 @@
+"""One-step differential oracle: the paper's iteration written out literally
+(explicit ``n x n`` skew factor, SVD projection, Barzilai-Borwein steps and
+the Zhang-Hager reference) against the solver's ``_step`` from the same
+iterates."""
+
+import numpy as np
+import pytest
+
+from stiefelopt import EigProblem, EnergyProblem, StiefelSolver, WoppProblem, random_orthonormal
+
+
+def reference_step(solver, objective, it):
+    """``(slope, tau, X_{k+1}, C_{k+1}, nfe, (S, R))`` of one literal iteration from ``it``."""
+    x, k = it.point.x, it.record.k
+    eye = np.eye(x.shape[0])
+
+    def direction(z):
+        objective.value(z)  # the gradient follows a value at the same array
+        g = objective.gradient(z)
+        a = g @ z.T - z @ g.T
+        return g, solver.alpha * a @ z + solver.beta * (eye - z @ z.T) @ g, a @ z
+
+    g, h, canonical = direction(x)
+    slope = -np.sum(g * h)
+    tau = solver.tau0
+    if k > 0 and solver.step_init == "bb":
+        s, r = it.bb_pair
+        bb1, bb2 = abs(np.sum(s * s) / np.sum(s * r)), abs(np.sum(s * r) / np.sum(r * r))
+        use_bb1 = {"bb1": True, "bb2": False, "alternate": (k - 1) % 2 == 0}[solver.bb_mode]
+        tau = min(max(bb1 if use_bb1 else bb2, solver.tau_min), solver.tau_max)
+    for nfe in range(1, solver.max_halvings + 2):
+        u, _, vt = np.linalg.svd(x - tau * h, full_matrices=False)
+        z = u @ vt
+        f_z = objective.value(z)
+        if f_z < it.state.c + solver.rho1 * tau * slope:
+            break
+        tau *= solver.delta
+    else:
+        raise AssertionError("no trial passed the literal Armijo test")
+    eta = 0.0 if solver.mode == "monotone" else solver.eta
+    q = eta * it.state.q + 1.0
+    c = (eta * it.state.q * it.state.c + f_z) / q
+    _, h_z, canonical_z = direction(z)
+    r = canonical_z - canonical if solver.bb_gradient == "canonical" else h_z - h
+    return slope, tau, z, c, nfe, (z - x, r)
+
+
+def _wopp(seed):
+    rng = np.random.default_rng(seed)
+    problem = WoppProblem.generate(40, 8, ptype=1, rng=rng, known_solution=True, seed=seed)
+    return problem, random_orthonormal(40, 8, rng)
+
+
+CASES = {
+    "wopp-default": (_wopp, dict(alpha=0.5, beta=0.5)),
+    "wopp-monotone-mixed": (_wopp, dict(alpha=0.5, beta=0.5, mode="monotone", bb_gradient="mixed")),
+    "wopp-bb2-fixed": (_wopp, dict(alpha=0.5, beta=0.5, bb_mode="bb2", step_init="fixed")),
+    "eig-monotone": (
+        lambda seed: (EigProblem.generate(30, 4, seed=seed), random_orthonormal(30, 4, seed)),
+        dict(mode="monotone"),
+    ),
+    "energy-default": (lambda seed: (EnergyProblem(40, 4), random_orthonormal(40, 4, seed)), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_step_matches_the_literal_iteration(case, monkeypatch):
+    build, params = CASES[case]
+    problem, x0 = build(1)
+    solver = StiefelSolver(max_iters=6, **params)
+    step, iterates = StiefelSolver._step, []
+
+    def recording(self, objective, it):
+        iterates.append(it)
+        return step(self, objective, it)
+
+    monkeypatch.setattr(StiefelSolver, "_step", recording)
+    solver.solve(problem, x0)
+    assert [it.record.k for it in iterates] == list(range(6))
+
+    def close(a, b):
+        return np.linalg.norm(np.subtract(a, b)) <= 1e-10 * np.linalg.norm(b)
+
+    for it in iterates:
+        slope, tau, x, c, nfe, (s, r) = reference_step(solver, problem, it)
+        nxt, spent = step(solver, problem, it)
+        assert spent == nxt.record.nfe == nfe
+        assert close(it.record.slope, slope) and close(nxt.record.tau, tau)
+        assert close(nxt.record.cval, c) and close(nxt.point.x, x)
+        assert close(nxt.bb_pair[0], s) and close(nxt.bb_pair[1], r)

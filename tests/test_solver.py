@@ -266,6 +266,7 @@ def test_termination_strings_and_success_set():
         "RelChangeMean",
         "MaxIters",
         "LineSearchFailed",
+        "NoProgress",
     }
 
 
@@ -775,6 +776,23 @@ def test_exhausted_backtracking_reports_line_search_failure():
     assert report.nitr == 0
     assert report.fval == pytest.approx(2.28)  # untouched starting value
     assert report.nfe == 3  # initial evaluation + two rejected trials
+
+
+def test_a_step_that_moved_x_by_rounding_alone_is_not_convergence():
+    # With its gradient negated, backtracking from X_0 shrinks tau to 6.9e-19,
+    # where X - tau H rounds to X, and rounding lets that trial pass the
+    # Armijo test: its relx of 1.3e-16 would satisfy the RelChange rule.
+    problem = EigProblem.generate(50, 5, seed=3)
+    objective = CallableObjective(
+        fun=problem.value, grad=lambda x: -problem.gradient(x), shape=problem.shape
+    )
+    reports = [StiefelSolver().solve(objective, random_orthonormal(50, 5, s)) for s in range(5)]
+    assert not any(r.converged for r in reports)
+    first = reports[0]
+    assert first.termination is Termination.NO_PROGRESS
+    assert (first.nitr, first.nfe, first.nge, len(first.history)) == (0, 31, 1, 1)
+    npt.assert_array_equal(first.x, random_orthonormal(50, 5, 0))
+    assert first.nrmg > 100
 
 
 def test_alpha_zero_runs_without_descent_certificate():
