@@ -1,16 +1,15 @@
 """stiefel-bench: seeded benchmark harness.
 
-Each subcommand is a list of solver-setting overrides, its *points*: ``run``
-has one empty point, ``compare`` one per acceptance ``mode`` (all else
-equal), ``sweep`` one per ``alpha`` of its grid with ``beta = 1 - alpha``.
-Each of the N seeded instances is built once and solved at every point.
-Every subcommand writes ``runs.csv``, ``aggregate.csv``, ``summary.json``
-and, with ``--history``, ``history.csv``, rows led by the point's settings.
-``runs.csv``'s header is the run record's keys, as in ``summary.json["runs"]``.
-Settings come from built-in defaults, optionally a JSON config file, then
-command-line flags, in that order of precedence. ``_defaults(command)``
-declares each setting once, as one flag and one config key; an instance
-setting is checked by ``_resolve_config``, a solver one by ``validate_params``.
+``run`` solves N seeded instances, each built once, at every *point* of a grid
+of ``StiefelSolver`` settings: the keys of one ``--vary KEY=VALUES ...`` move
+together, separate ``--vary`` flags cross, the first outermost, and with none
+there is one empty point. It writes ``runs.csv`` (its header is the run
+record's keys, as in ``summary.json["runs"]``), ``aggregate.csv``,
+``summary.json`` and, with ``--history``, ``history.csv``, rows led by the
+point's settings. Settings come from built-in defaults, a JSON config file,
+then flags, in that order of precedence. ``_DEFAULTS`` declares each once, as
+one flag and one config key; an instance setting is checked by
+``_resolve_config``, a solver one by ``validate_params`` at every point.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .linalg import as_generator, random_orthonormal
 from .problems import EigProblem, EnergyProblem, WoppProblem
 from .solver import PARAM_CHOICES, StiefelSolver
 
-#: ``key -> (default, help)`` of each instance setting; ``alphas`` is sweep's.
+#: ``key -> (default, help)`` of each setting that is not a solver field.
 _SETTINGS = {
     "family": ("wopp", None),
     "n": (50, "manifold rows"),
@@ -41,21 +40,17 @@ _SETTINGS = {
     "seed": (0, "base seed (run i uses seed+i)"),
     "out": ("bench_out", "output directory"),
     "history": (False, "also write per-iteration history of the first run"),
-    "alphas": ([0.0, 0.5, 1.0], "comma list '0,0.5,1' or range '0:0.05:1'"),
+    "vary": ([], "solver fields moved together; repeat to cross: alpha=0:0.5:1 beta=1,0.5,0"),
 }
+#: ``StiefelSolver``'s fields as ``name -> default``, the keys that ``vary`` takes.
+_FIELDS = {f.name: f.default for f in fields(StiefelSolver)}
+#: Every setting as ``key -> (default, help)``, each one flag and one config key.
+_DEFAULTS = {**_SETTINGS, **{key: (default, None) for key, default in _FIELDS.items()}}
 
 #: Allowed values of the settings that have them, offered as the flags' choices.
 _CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
 #: The run-record columns that ``aggregate.csv`` reduces to min/mean/max.
 _AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
-#: Each subcommand's help and its points, the solver-setting overrides it runs.
-_COMMANDS = {
-    "run": ("run one family for N seeded simulations", lambda cfg: [{}]),
-    "compare": ("run monotone and nonmonotone acceptance on identical seeds",
-                lambda cfg: [{"mode": m} for m in PARAM_CHOICES["mode"]]),
-    "sweep": ("sweep alpha over a grid with beta = 1 - alpha",
-              lambda cfg: [{"alpha": a, "beta": 1.0 - a} for a in cfg["alphas"]]),
-}
 
 
 def _fmt(value) -> str:
@@ -177,13 +172,13 @@ def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: lis
     return 0 if all(run["converged"] for run in runs) else 1
 
 
-def _parse_alphas(text: str) -> list[float]:
-    """Either a comma list '0,0.5,1' or a range 'start:step:stop' (inclusive)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("range form is start:step:stop")
-        start, step, stop = (float(s) for s in parts)
+def _parse_vary(text: str) -> tuple[str, list]:
+    """``KEY=VALUES`` as ``(KEY, values)``: a comma list typed like the field's
+    default or a float range 'start:step:stop'; ``_grid`` refuses an unknown KEY."""
+    key, _, text = text.partition("=")
+    default = _FIELDS.get(key, "")
+    if ":" in text and isinstance(default, float):
+        start, step, stop = (float(s) for s in text.split(":"))  # ValueError unless three
         if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf):
             raise argparse.ArgumentTypeError(
                 f"range needs a finite start:step:stop with step > 0, got {text!r}"
@@ -193,15 +188,23 @@ def _parse_alphas(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"range gives more than 1001 points (a 1e-3 grid on [0, 1]), got {text!r}"
             )
-        return [round(start + i * step, 12) for i in range(math.floor(max(last, -1.0)) + 1)]
-    return [float(s) for s in text.split(",") if s.strip()]
+        return key, [round(start + i * step, 12) for i in range(math.floor(max(last, -1.0)) + 1)]
+    return key, [type(default)(s) for s in text.split(",") if s.strip()]
 
 
-def _defaults(command: str) -> dict:
-    """``command``'s settings as ``key -> (default, help)``: the instance
-    settings (``alphas`` for ``sweep`` only), then ``StiefelSolver``'s fields."""
-    instance = {k: v for k, v in _SETTINGS.items() if k != "alphas" or command == "sweep"}
-    return {**instance, **{f.name: (f.default, None) for f in fields(StiefelSolver)}}
+def _grid(vary: list) -> list[dict]:
+    """The points of ``vary``, a list of ``{KEY: [values]}`` axes: the keys of
+    one axis move together, and the axes cross, the first outermost."""
+    points = [{}]
+    for axis in vary:
+        if not (isinstance(axis, dict) and all(isinstance(v, list) and v for v in axis.values())):
+            raise SystemExit(f"error: vary needs nonempty {{KEY: [values]}} lists, got {axis}")
+        if not axis.keys() <= _FIELDS.keys():
+            raise SystemExit(f"error: vary takes StiefelSolver fields only, got {list(axis)}")
+        if len({len(values) for values in axis.values()}) != 1:  # {}: no values at all
+            raise SystemExit(f"error: vary keys moved together need as many values, got {axis}")
+        points = [{**p, **dict(zip(axis, row))} for p in points for row in zip(*axis.values())]
+    return points
 
 
 def _typed_like(value, default) -> bool:
@@ -212,11 +215,11 @@ def _typed_like(value, default) -> bool:
 
 def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], list]:
     """Merge defaults, the JSON config file, and explicit flags into the
-    instance config, the solver parameters, the command's points and each
+    instance config, the solver parameters, the grid's points and each
     point's solver. Each setting is checked once before any instance is
     built: an instance setting here, a solver setting by ``validate_params``
     at every point."""
-    defaults = {key: default for key, (default, _) in _defaults(args.command).items()}
+    defaults = {key: default for key, (default, _) in _DEFAULTS.items()}
     merged = dict(defaults)
     if args.config:
         try:
@@ -229,7 +232,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
             if key not in defaults:
                 raise SystemExit(f"error: unknown config key {key!r}")
         merged.update(loaded)
-    merged.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
+    flags = {**vars(args), "vary": args.vary and [dict(axis) for axis in args.vary]}
+    merged.update((k, v) for k, v in flags.items() if k in defaults and v is not None)
     cfg = {key: merged.pop(key) for key in defaults if key in _SETTINGS}
     for key, value in cfg.items():
         if not _typed_like(value, defaults[key]):
@@ -238,10 +242,6 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
             raise SystemExit(f"error: {key} must be one of {_CHOICES[key]}, got {value!r}")
     if cfg["sims"] < 1:
         raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
-    alphas = cfg.get("alphas")  # sweep's grid; run and compare have none
-    if alphas is not None and not (
-            alphas and all(_typed_like(a, 0.0) and 0 <= a <= 1 for a in alphas)):
-        raise SystemExit(f"error: alphas must be a nonempty list in [0, 1], got {alphas!r}")
     if not 1 <= cfg["p"] <= cfg["n"]:
         raise SystemExit(f"error: St(n, p) needs 1 <= p <= n, got n={cfg['n']}, p={cfg['p']}")
     if cfg["n"] > np.iinfo(np.intp).max:
@@ -249,7 +249,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
             f"error: n must be at most {np.iinfo(np.intp).max}, the largest array "
             f"dimension, got n={cfg['n']}"
         )
-    points = _COMMANDS[args.command][1](cfg)
+    points = _grid(cfg["vary"])
     solvers = [StiefelSolver(**{**merged, **point}) for point in points]
     for solver in solvers:
         solver.validate_params()
@@ -262,17 +262,16 @@ def main(argv=None) -> int:
         description="Seeded benchmarks for the Stiefel-manifold solver.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", help="JSON config file")
-        for key, (default, doc) in _defaults(name).items():
-            if isinstance(default, bool):
-                kind = {"action": argparse.BooleanOptionalAction}
-            elif key == "alphas":
-                kind = {"type": _parse_alphas}
-            else:
-                kind = {"type": type(default), "choices": _CHOICES.get(key)}
-            sub.add_argument("--" + key.replace("_", "-"), help=doc, **kind)
+    sub = subs.add_parser("run", help="solve N seeded instances at every point of a grid")
+    sub.add_argument("--config", help="JSON config file")
+    for key, (default, doc) in _DEFAULTS.items():
+        if isinstance(default, bool):
+            kind = {"action": argparse.BooleanOptionalAction}
+        elif key == "vary":
+            kind = {"type": _parse_vary, "nargs": "+", "action": "append", "metavar": "KEY=VALUES"}
+        else:
+            kind = {"type": type(default), "choices": _CHOICES.get(key)}
+        sub.add_argument("--" + key.replace("_", "-"), help=doc, **kind)
     args = parser.parse_args(argv)
     try:
         return _run_points(*_resolve_config(args))

@@ -1,5 +1,5 @@
-"""Benchmark CLI: subcommands, CSV/JSON outputs, config-file precedence,
-exit codes, and reproducibility."""
+"""Benchmark CLI: the ``--vary`` grid, CSV/JSON outputs, config-file
+precedence, exit codes, and reproducibility."""
 
 import argparse
 import csv
@@ -9,12 +9,15 @@ from dataclasses import fields
 import pytest
 
 from stiefelopt import StiefelSolver, cli
-from stiefelopt.cli import _fmt, _parse_alphas, main
+from stiefelopt.cli import _fmt, _parse_vary, main
 
 # The run record's keys after the point's: sim and seed, SolverReport.to_dict(), error.
 RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi",
                "termination", "name", "converged", "error"]
 AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
+# A grid over the acceptance rule, and one over the direction mix with beta = 1 - alpha.
+COMPARE = ["--vary", "mode=monotone,nonmonotone"]
+SWEEP = ["--vary", "alpha=0.5,1", "beta=0.5,0"]
 
 
 def _read_csv(path):
@@ -133,7 +136,7 @@ def test_run_exit_code_flags_nonconvergence(tmp_path):
     assert code == 1
 
 
-# -- compare ----------------------------------------------------------------------------
+# -- the acceptance rule as a grid axis ------------------------------------------------
 
 
 def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
@@ -145,7 +148,7 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
         "--sims", "2",
         "--seed", "5",
     ]
-    assert main(["compare", *settings, "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["run", *settings, *COMPARE, "--out", str(tmp_path / "cmp")]) == 0
     header, rows = _read_csv(tmp_path / "cmp" / "runs.csv")
     assert header == ["mode", *RUN_COLUMNS]
     mono = [r[1:] for r in rows if r[0] == "monotone"]
@@ -167,18 +170,18 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
     ]
 
 
-# -- sweep -------------------------------------------------------------------------------
+# -- the direction mix as a grid axis ----------------------------------------------------
 
 
 def test_sweep_walks_the_direction_mix(tmp_path):
     args = [
-        "sweep",
+        "run",
         "--family", "wopp",
         "--n", "12",
         "--p", "3",
         "--known-solution",
         "--seed", "0",
-        "--alphas", "0,0.5,1",
+        "--vary", "alpha=0,0.5,1", "beta=1,0.5,0",
         "--out", str(tmp_path / "sweep"),
     ]
     assert main(args) == 0
@@ -193,7 +196,7 @@ def test_sweep_walks_the_direction_mix(tmp_path):
 def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
     settings = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                 "--sims", "2", "--seed", "3"]
-    assert main(["sweep", *settings, "--alphas", "0.5,1", "--out", str(tmp_path / "sw")]) == 0
+    assert main(["run", *settings, *SWEEP, "--out", str(tmp_path / "sw")]) == 0
     header, rows = _read_csv(tmp_path / "sw" / "runs.csv")
     assert header == ["alpha", "beta", *RUN_COLUMNS]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
@@ -212,71 +215,139 @@ def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
         assert all(float(r[header.index("error")]) <= 1e-8 for r in chunk)
 
 
+def _refusal(argv, capsys):
+    """Exit status, stdout and ``error:`` text of a refused ``main(argv)``: an
+    instance or grid setting ends in ``SystemExit``, a solver one in status 1."""
+    try:
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    except SystemExit as exc:  # SystemExit("error: ...") exits with status 1
+        return 1, capsys.readouterr().out, str(exc.code)
+
+
 @pytest.mark.parametrize(
-    "alphas, form",
-    [("", "flag"), (["x"], "config"), ([], "config"), (0.5, "config"),
-     ([True, 0.5], "config")],
+    "vary, message",
+    [(("--vary", "alpha="), "vary needs nonempty"),
+     ({"vary": [{"alpha": ["x"]}]}, "alpha must be a real number, got 'x'"),
+     ({"vary": [{"alpha": []}]}, "vary needs nonempty"),
+     ({"vary": [{"alpha": 0.5}]}, "vary needs nonempty"),
+     ({"vary": [{"alpha": [True, 0.5]}]}, "alpha must be a real number, got True")],
     ids=["flag-empty", "config-string", "config-empty", "config-scalar", "config-bool"],
 )
-def test_bad_alphas_are_rejected_before_any_output(tmp_path, alphas, form):
+def test_bad_alphas_are_rejected_before_any_output(tmp_path, capsys, vary, message):
     out = tmp_path / "out"
-    if form == "flag":
-        extra = ["--alphas", alphas]
-    else:
+    if isinstance(vary, dict):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"alphas": alphas}))
-        extra = ["--config", str(cfg_path)]
-    with pytest.raises(SystemExit, match="alphas"):
-        main(["sweep", "--n", "6", "--p", "2", "--out", str(out), *extra])
+        cfg_path.write_text(json.dumps(vary))
+        vary = ("--config", str(cfg_path))
+    code, _, error = _refusal(["run", "--n", "6", "--p", "2", "--out", str(out), *vary], capsys)
+    assert code == 1 and "alpha" in error and message in error
     assert not out.exists()
 
 
 def test_sweep_checks_its_own_alpha_beta_not_the_configs(tmp_path, capsys):
-    # A config shared with run may set alpha = beta = 0, which run refuses;
-    # sweep replaces both by each grid point, so it runs.
+    # A config may set alpha = beta = 0, which a run refuses; a grid that
+    # sets both at every point replaces them, so it runs.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"family": "wopp", "n": 12, "p": 3, "known_solution": True,
                                     "alpha": 0.0, "beta": 0.0}))
     settings = ["--config", str(cfg_path)]
-    assert main(["sweep", *settings, "--alphas", "0.5", "--out", str(tmp_path / "sw")]) == 0
+    grid = ["--vary", "alpha=0.5", "beta=0.5"]
+    assert main(["run", *settings, *grid, "--out", str(tmp_path / "sw")]) == 0
     assert main(["run", *settings, "--out", str(tmp_path / "run")]) == 1
     assert "need alpha >= 0, beta >= 0, alpha + beta > 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-def test_sweep_rejects_weights_outside_unit_interval(tmp_path):
-    args = ["sweep", "--n", "6", "--p", "2", "--alphas", "0,2",
+def test_sweep_rejects_weights_outside_unit_interval(tmp_path, capsys):
+    # validate_params checks each point: the second one's beta is negative.
+    args = ["run", "--n", "6", "--p", "2", "--vary", "alpha=0,2", "beta=1,-1",
             "--out", str(tmp_path / "x")]
-    with pytest.raises(SystemExit, match="alphas"):
-        main(args)
+    code, _, error = _refusal(args, capsys)
+    assert code == 1 and "got alpha=2.0, beta=-1.0" in error
     assert not (tmp_path / "x").exists()  # rejected before any output is made
 
 
-def test_parse_alphas_forms():
-    assert _parse_alphas("0,0.5,1") == [0.0, 0.5, 1.0]
-    assert _parse_alphas("0:0.25:1") == [0.0, 0.25, 0.5, 0.75, 1.0]
-    with pytest.raises(argparse.ArgumentTypeError, match="start:step:stop"):
-        _parse_alphas("0:1")
+def test_parse_vary_forms():
+    assert _parse_vary("alpha=0,0.5,1") == ("alpha", [0.0, 0.5, 1.0])
+    assert _parse_vary("alpha=0:0.25:1") == ("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
+    # VALUES are typed like the field's default; an unknown key's stay text.
+    assert _parse_vary("mode=monotone,nonmonotone") == ("mode", ["monotone", "nonmonotone"])
+    assert _parse_vary("window=3,5") == ("window", [3, 5])
+    assert _parse_vary("n=10,20") == ("n", ["10", "20"])
+    assert _parse_vary("alpha=") == ("alpha", [])
+    for text in ("alpha=x", "window=1.5", "window=1:1:3", "alpha=0:1"):
+        with pytest.raises(ValueError):  # argparse reports it as an invalid --vary value
+            _parse_vary(text)
     with pytest.raises(argparse.ArgumentTypeError, match="step"):
-        _parse_alphas("0:-0.5:1")
+        _parse_vary("alpha=0:-0.5:1")
     # A NaN step would end the range at its start; an infinite stop is never passed.
-    for text in ("0:nan:1", "0:0.1:inf"):
+    for text in ("alpha=0:nan:1", "alpha=0:0.1:inf"):
         with pytest.raises(argparse.ArgumentTypeError, match="finite start:step:stop"):
-            _parse_alphas(text)
+            _parse_vary(text)
     # A step tiny against the span is refused from the point count, before
     # any list is built; a 1e-3 grid on [0, 1] is the largest range taken.
-    for text in ("0:1e-300:1", "0:0.1:1e300"):
+    for text in ("alpha=0:1e-300:1", "tau0=0:0.1:1e300"):
         with pytest.raises(argparse.ArgumentTypeError, match="more than 1001 points"):
-            _parse_alphas(text)
-    assert _parse_alphas("0:0.1:1") == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-    grid = _parse_alphas("0:0.001:1")
+            _parse_vary(text)
+    assert _parse_vary("beta=0:0.1:1") == ("beta", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                                                    0.8, 0.9, 1.0])
+    grid = _parse_vary("alpha=0:0.001:1")[1]
     assert len(grid) == 1001 and grid[1] == 0.001 and grid[-1] == 1.0
+
+
+def test_a_bad_vary_value_exits_via_argparse(tmp_path):
+    for text in ("alpha=x", "alpha=0:1", "alpha=0:1e-9:1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--vary", text, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_vary_axes_cross_with_the_first_outermost(tmp_path):
+    settings = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution", "--sims", "2"]
+    out = tmp_path / "grid"
+    assert main(["run", *settings, *COMPARE, *SWEEP, "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "runs.csv")
+    assert header == ["mode", "alpha", "beta", *RUN_COLUMNS]
+    assert [r[:4] for r in rows] == [
+        [mode, alpha, beta, sim] for mode in ("monotone", "nonmonotone")
+        for alpha, beta in (("0.5", "0.5"), ("1.0", "0.0")) for sim in ("0", "1")
+    ]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["vary"] == [{"mode": ["monotone", "nonmonotone"]},
+                                         {"alpha": [0.5, 1.0], "beta": [0.5, 0.0]}]
+    # The config form takes the same rule and gives the same rows.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"vary": summary["config"]["vary"]}))
+    assert main(["run", *settings, "--config", str(cfg_path), "--out", str(tmp_path / "cfg")]) == 0
+    assert _without_timing_or_out(out) == _without_timing_or_out(tmp_path / "cfg")
+
+
+def test_energy_and_eig_counts_do_not_depend_on_the_mix(tmp_path):
+    # For energy and eig X^T G is symmetric (F(XQ) = F(X) for orthogonal Q),
+    # so the complement part is the canonical one and every alpha + beta = 1
+    # takes the same steps.
+    mixes = ["alpha=0,0.25,0.5,0.75,1", "beta=1,0.75,0.5,0.25,0"]
+    for family, n, p in (("energy", "30", "4"), ("eig", "16", "12")):
+        out = tmp_path / family
+        assert main(["run", "--family", family, "--n", n, "--p", p, "--sims", "2",
+                     *COMPARE, "--vary", *mixes, "--out", str(out)]) == 0
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert len(runs) == 2 * 5 * 2
+        by_case = {}
+        for run in runs:
+            counts = (run["nitr"], run["nfe"], run["termination"])
+            by_case.setdefault((run["mode"], run["seed"]), set()).add(counts)
+        assert len(by_case) == 4
+        assert all(len(counts) == 1 for counts in by_case.values()), (family, by_case)
 
 
 # -- one instance per seed -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", [["compare"], ["sweep", "--alphas", "0,0.5,1"]],
+@pytest.mark.parametrize("command", [COMPARE, ["--vary", "alpha=0,0.5,1", "beta=1,0.5,0"]],
                          ids=["compare", "sweep"])
 def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeypatch, command):
     build, built = cli._build_instance, []
@@ -286,7 +357,7 @@ def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeyp
         return build(cfg, seed)
 
     monkeypatch.setattr(cli, "_build_instance", counting)
-    assert main([*command, "--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
+    assert main(["run", *command, "--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                  "--sims", "2", "--seed", "7", "--out", str(tmp_path / "out")]) == 0
     assert built == [7, 8]
     assert capsys.readouterr().out.count("instance:") == 1
@@ -296,17 +367,19 @@ def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeyp
 
 _WOPP_SETTINGS = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                   "--sims", "2"]
-_SUBCOMMANDS = {
-    "run": (["run"], []),
-    "compare": (["compare"], ["mode"]),
-    "sweep": (["sweep", "--alphas", "0.5,1"], ["alpha", "beta"]),
+# Each grid (none, the mode axis, the mix axis, the two crossed) and its point keys.
+_GRIDS = {
+    "run": ([], []),
+    "compare": (COMPARE, ["mode"]),
+    "sweep": (SWEEP, ["alpha", "beta"]),
+    "crossed": ([*COMPARE, *SWEEP], ["mode", "alpha", "beta"]),
 }
 
 
-@pytest.mark.parametrize("command, keys", _SUBCOMMANDS.values(), ids=list(_SUBCOMMANDS))
+@pytest.mark.parametrize("command, keys", _GRIDS.values(), ids=list(_GRIDS))
 def test_every_subcommand_writes_the_same_files_and_columns(tmp_path, command, keys):
     out = tmp_path / "out"
-    assert main([*command, *_WOPP_SETTINGS, "--out", str(out)]) == 0
+    assert main(["run", *command, *_WOPP_SETTINGS, "--out", str(out)]) == 0
     assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "runs.csv", "summary.json"]
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary) == ["config", "solver_params", "points", "runs", "aggregate"]
@@ -322,11 +395,11 @@ def test_every_subcommand_writes_the_same_files_and_columns(tmp_path, command, k
     assert rows == [[_fmt(row[col]) for col in header] for row in summary["aggregate"]]
 
 
-@pytest.mark.parametrize("command", ["compare", "sweep"])
+@pytest.mark.parametrize("command", ["compare", "sweep", "crossed"])
 def test_history_holds_the_first_run_of_each_point(tmp_path, command):
-    args, keys = _SUBCOMMANDS[command]
+    args, keys = _GRIDS[command]
     out = tmp_path / "out"
-    assert main([*args, *_WOPP_SETTINGS, "--history", "--out", str(out)]) == 0
+    assert main(["run", *args, *_WOPP_SETTINGS, "--history", "--out", str(out)]) == 0
     runs_header, runs = _read_csv(out / "runs.csv")
     header, rows = _read_csv(out / "history.csv")
     assert header[: len(keys) + 1] == [*keys, "k"]
@@ -419,6 +492,14 @@ _BAD_SETTINGS = {
     "tau0-int-too-large": ({"tau0": 10**400}, "tau0 must be finite"),
     "mu-int-too-large": ({"family": "energy", "mu": 10**400}, "mu must be finite"),
     "run-alphas": ({"alphas": [0.5]}, "unknown config key 'alphas'"),
+    # A grid over anything but solver fields, or of unequal or empty axes.
+    "vary-instance-key": (("--vary", "n=10,20"), "StiefelSolver fields only, got ['n']"),
+    "vary-unknown-key": ({"vary": [{"bogus": [1]}]}, "fields only, got ['bogus']"),
+    "vary-empty-list": (("--vary", "mode="), "vary needs nonempty {KEY: [values]} lists"),
+    "vary-unequal-counts": (("--vary", "alpha=0,1", "beta=1"),
+                            "need as many values, got {'alpha': [0.0, 1.0], 'beta': [1.0]}"),
+    "vary-empty-axis": ({"vary": [{}]}, "need as many values, got {}"),
+    "vary-not-a-list": ({"vary": {"mode": ["monotone"]}}, "vary must be list"),
     # Larger than any array dimension: refused by name before numpy sees it.
     "n-above-intp": ({"n": 10**41, "p": 3}, f"the largest array dimension, got n={10**41}"),
 }
@@ -431,15 +512,9 @@ def test_bad_settings_are_refused_before_any_output(tmp_path, capsys, settings, 
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(settings))
         settings = ["--config", str(cfg_path)]
-    try:
-        code = main(["run", *settings, "--out", str(out)])
-        captured = capsys.readouterr()
-        error = captured.err
-    except SystemExit as exc:  # SystemExit("error: ...") exits with status 1
-        code, error = 1, str(exc.code)
-        captured = capsys.readouterr()
+    code, stdout, error = _refusal(["run", *settings, "--out", str(out)], capsys)
     assert code == 1
-    assert "instance:" not in captured.out  # no echo of an instance never built
+    assert "instance:" not in stdout  # no echo of an instance never built
     assert error.startswith("error: ") and error.count("error:") == 1
     assert message in error
     assert not out.exists()
@@ -505,7 +580,8 @@ def test_config_file_and_flags_share_one_declaration(tmp_path):
 
 
 def test_each_subcommand_has_a_config_key_for_each_flag_and_no_other(tmp_path, monkeypatch):
-    # Every flag's dest, per subcommand, from the parsed arguments main hands on.
+    # Every flag's dest, per subcommand (run is the only one), from the parsed
+    # arguments main hands on.
     resolve, dests = cli._resolve_config, {}
 
     def capture(args):
@@ -514,7 +590,7 @@ def test_each_subcommand_has_a_config_key_for_each_flag_and_no_other(tmp_path, m
 
     monkeypatch.setattr(cli, "_resolve_config", capture)
     monkeypatch.setattr(cli, "_run_points", lambda *resolved: 0)  # no solve, no output
-    commands = ["run", "compare", "sweep"]
+    commands = ["run"]
     for command in commands:
         main([command, "--out", str(tmp_path / "out")])
     # A config key a command does not have is refused as unknown; any other
@@ -531,7 +607,7 @@ def test_each_subcommand_has_a_config_key_for_each_flag_and_no_other(tmp_path, m
                 if "unknown config key" not in str(exc.code):
                     accepted.add(key)
         assert accepted == dests[command], command
-    assert "alphas" in dests["sweep"] - dests["run"]
+    assert "vary" in dests["run"] and "alphas" not in dests["run"]
 
 
 def test_unreadable_config_is_an_error(tmp_path):

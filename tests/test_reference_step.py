@@ -3,10 +3,16 @@
 the Zhang-Hager reference) against the solver's ``_step`` from the same
 iterates."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stiefelopt import EigProblem, EnergyProblem, StiefelSolver, WoppProblem, random_orthonormal
+from stiefelopt.solver import PARAM_CHOICES
 
 
 def reference_step(solver, objective, it):
@@ -61,22 +67,26 @@ CASES = {
     ),
     "energy-default": (lambda seed: (EnergyProblem(40, 4), random_orthonormal(40, 4, seed)), {}),
 }
+# The rest of mode x bb_mode x bb_gradient x step_init on the same WOPP instances.
+_AXES = ("mode", "bb_mode", "bb_gradient", "step_init")
+for _cell in itertools.product(*(PARAM_CHOICES[axis] for axis in _AXES)):
+    _params = dict(alpha=0.5, beta=0.5, **dict(zip(_AXES, _cell)))
+    if all(StiefelSolver(**_params) != StiefelSolver(**params) for _, params in CASES.values()):
+        CASES["wopp-" + "-".join(_cell)] = (_wopp, _params)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_step_matches_the_literal_iteration(case, monkeypatch):
-    build, params = CASES[case]
-    problem, x0 = build(1)
-    solver = StiefelSolver(max_iters=6, **params)
+def _check_steps(solver, problem, x0):
+    """Run ``solver`` on ``problem`` from ``x0`` and check each ``_step`` it
+    takes against ``reference_step`` from the same iterate."""
     step, iterates = StiefelSolver._step, []
 
     def recording(self, objective, it):
         iterates.append(it)
         return step(self, objective, it)
 
-    monkeypatch.setattr(StiefelSolver, "_step", recording)
-    solver.solve(problem, x0)
-    assert [it.record.k for it in iterates] == list(range(6))
+    with mock.patch.object(StiefelSolver, "_step", recording):
+        solver.solve(problem, x0)
+    assert [it.record.k for it in iterates] == list(range(solver.max_iters))
 
     def close(a, b):
         return np.linalg.norm(np.subtract(a, b)) <= 1e-10 * np.linalg.norm(b)
@@ -88,3 +98,22 @@ def test_step_matches_the_literal_iteration(case, monkeypatch):
         assert close(it.record.slope, slope) and close(nxt.record.tau, tau)
         assert close(nxt.record.cval, c) and close(nxt.point.x, x)
         assert close(nxt.bb_pair[0], s) and close(nxt.bb_pair[1], r)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_step_matches_the_literal_iteration(case):
+    build, params = CASES[case]
+    _check_steps(StiefelSolver(max_iters=6, **params), *build(1))
+
+
+# At these shapes eig's value and gradient products, formed in the
+# (X^T A)^T orientation, differ from the literal A X in the last bits.
+@settings(deadline=None, max_examples=6)
+@given(shape=st.sampled_from([(16, 12), (9, 3), (12, 1)]), seed=st.integers(0, 2**16))
+@example(shape=(16, 12), seed=0)
+@example(shape=(9, 3), seed=0)
+@example(shape=(12, 1), seed=0)
+def test_eig_step_matches_the_literal_iteration_at_drawn_shapes(shape, seed):
+    problem = EigProblem.generate(*shape, seed=seed)
+    _check_steps(StiefelSolver(max_iters=6, mode="monotone"), problem,
+                 random_orthonormal(*shape, seed))
