@@ -1,15 +1,14 @@
 """stiefel-bench: seeded benchmark harness.
 
-``run`` solves N seeded instances, each built once, at every *point* of a grid
-of ``StiefelSolver`` settings: the keys of one ``--vary KEY=VALUES ...`` move
-together, separate ``--vary`` flags cross, the first outermost, and with none
-there is one empty point. It writes ``runs.csv`` (its header is the run
-record's keys, as in ``summary.json["runs"]``), ``aggregate.csv``,
-``summary.json`` and, with ``--history``, ``history.csv``, rows led by the
-point's settings. Settings come from built-in defaults, a JSON config file,
-then flags, in that order of precedence. ``_DEFAULTS`` declares each once, as
-one flag and one config key; an instance setting is checked by
-``_resolve_config``, a solver one by ``validate_params`` at every point.
+``run`` solves N seeded instances at every *point* of a grid of instance and
+solver settings: the keys of one ``--vary KEY=VALUES ...`` move together,
+separate flags cross, the first outermost, and with none there is one empty
+point. Each (instance setting, seed) is built once, for every point with that
+setting. It writes ``runs.csv`` (header: the run record's keys, as in
+``summary.json["runs"]``), ``aggregate.csv``, ``summary.json`` and, with
+``--history``, ``history.csv``, rows led by the point's settings. Settings come
+from built-in defaults, a JSON config file, then flags, in that order of
+precedence; ``_DEFAULTS`` declares each once, as one flag and one config key.
 """
 
 from __future__ import annotations
@@ -40,12 +39,12 @@ _SETTINGS = {
     "seed": (0, "base seed (run i uses seed+i)"),
     "out": ("bench_out", "output directory"),
     "history": (False, "also write per-iteration history of the first run"),
-    "vary": ([], "solver fields moved together; repeat to cross: alpha=0:0.5:1 beta=1,0.5,0"),
+    "vary": ([], "settings moved together; repeat to cross: n=100,200 p=20,40"),
 }
-#: ``StiefelSolver``'s fields as ``name -> default``, the keys that ``vary`` takes.
-_FIELDS = {f.name: f.default for f in fields(StiefelSolver)}
+#: The run's own settings, which no point may vary; the other ``_SETTINGS`` are instance ones.
+_RUN = ("sims", "seed", "out", "history", "vary")
 #: Every setting as ``key -> (default, help)``, each one flag and one config key.
-_DEFAULTS = {**_SETTINGS, **{key: (default, None) for key, default in _FIELDS.items()}}
+_DEFAULTS = {**_SETTINGS, **{f.name: (f.default, None) for f in fields(StiefelSolver)}}
 
 #: Allowed values of the settings that have them, offered as the flags' choices.
 _CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
@@ -131,17 +130,21 @@ def _print_aggregate(agg_rows, heading: str) -> None:
 
 
 def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: list) -> int:
-    """Build each seed's instance once, solve it at every point with that
-    point's solver, and write one set of tables, point by point, for all."""
+    """Build each (instance setting, seed) once, solve it at every point of that
+    setting with the point's solver, and write one set of tables, point by point."""
     labels = [" ".join(f"{k}={_fmt(v)}" for k, v in point.items()) for point in points]
     by_point = [[] for _ in points]  # each point's rows, in sim order
     history = []
     for sim in range(cfg["sims"]):
         seed = cfg["seed"] + sim
-        problem, x0, naming, error = _build_instance(cfg, seed)
-        if sim == 0:
-            print(naming)
+        built = {}  # this seed's instance of each instance setting
         for point, solver, label, rows in zip(points, solvers, labels, by_point):
+            setting = tuple((k, v) for k, v in point.items() if k in _SETTINGS)
+            if setting not in built:
+                built[setting] = _build_instance({**cfg, **point}, seed)
+                if sim == 0:
+                    print(built[setting][2])
+            problem, x0, naming, error = built[setting]
             report = solver.solve(problem, x0)
             rows.append({**point, "sim": sim, "seed": seed, **report.to_dict(),
                          "error": error(report)})
@@ -173,10 +176,10 @@ def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: lis
 
 
 def _parse_vary(text: str) -> tuple[str, list]:
-    """``KEY=VALUES`` as ``(KEY, values)``: a comma list typed like the field's
-    default or a float range 'start:step:stop'; ``_grid`` refuses an unknown KEY."""
+    """``KEY=VALUES`` as ``(KEY, values)``: a comma list typed like the setting's default
+    (a bool as JSON's true/false) or a float range 'start:step:stop'; ``_grid`` vets KEY."""
     key, _, text = text.partition("=")
-    default = _FIELDS.get(key, "")
+    default = _DEFAULTS.get(key, ("",))[0]
     if ":" in text and isinstance(default, float):
         start, step, stop = (float(s) for s in text.split(":"))  # ValueError unless three
         if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf):
@@ -189,20 +192,25 @@ def _parse_vary(text: str) -> tuple[str, list]:
                 f"range gives more than 1001 points (a 1e-3 grid on [0, 1]), got {text!r}"
             )
         return key, [round(start + i * step, 12) for i in range(math.floor(max(last, -1.0)) + 1)]
-    return key, [type(default)(s) for s in text.split(",") if s.strip()]
+    parse = json.loads if isinstance(default, bool) else type(default)
+    return key, [parse(s) for s in text.split(",") if s.strip()]
 
 
 def _grid(vary: list) -> list[dict]:
-    """The points of ``vary``, a list of ``{KEY: [values]}`` axes: the keys of
-    one axis move together, and the axes cross, the first outermost."""
+    """The points of ``vary``, a list of ``{KEY: [values]}`` axes: keys of one axis
+    move together, each on one axis; the axes cross, the first outermost. An int for
+    a float setting is the float its flag parses from the same text (inf if huge)."""
     points = [{}]
     for axis in vary:
         if not (isinstance(axis, dict) and all(isinstance(v, list) and v for v in axis.values())):
             raise SystemExit(f"error: vary needs nonempty {{KEY: [values]}} lists, got {axis}")
-        if not axis.keys() <= _FIELDS.keys():
-            raise SystemExit(f"error: vary takes StiefelSolver fields only, got {list(axis)}")
+        if bad := sorted(axis.keys() - (_DEFAULTS.keys() - _RUN - points[0].keys())):
+            raise SystemExit(f"error: vary takes instance and solver settings, each on one "
+                             f"axis, got {bad}")
         if len({len(values) for values in axis.values()}) != 1:  # {}: no values at all
             raise SystemExit(f"error: vary keys moved together need as many values, got {axis}")
+        axis = {key: [float(str(v)) if isinstance(_DEFAULTS[key][0], float) and _typed_like(v, 0.0)
+                      else v for v in values] for key, values in axis.items()}
         points = [{**p, **dict(zip(axis, row))} for p in points for row in zip(*axis.values())]
     return points
 
@@ -214,11 +222,10 @@ def _typed_like(value, default) -> bool:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], list]:
-    """Merge defaults, the JSON config file, and explicit flags into the
-    instance config, the solver parameters, the grid's points and each
-    point's solver. Each setting is checked once before any instance is
-    built: an instance setting here, a solver setting by ``validate_params``
-    at every point."""
+    """Merge defaults, the JSON config file, and explicit flags into the base
+    config, the solver parameters, the grid's points and each point's solver.
+    Every point is checked before any instance is built: its instance and run
+    settings here, its solver settings by ``validate_params``."""
     defaults = {key: default for key, (default, _) in _DEFAULTS.items()}
     merged = dict(defaults)
     if args.config:
@@ -234,26 +241,29 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
         merged.update(loaded)
     flags = {**vars(args), "vary": args.vary and [dict(axis) for axis in args.vary]}
     merged.update((k, v) for k, v in flags.items() if k in defaults and v is not None)
-    cfg = {key: merged.pop(key) for key in defaults if key in _SETTINGS}
-    for key, value in cfg.items():
-        if not _typed_like(value, defaults[key]):
-            raise SystemExit(f"error: {key} must be {type(defaults[key]).__name__}, got {value!r}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise SystemExit(f"error: {key} must be one of {_CHOICES[key]}, got {value!r}")
-    if cfg["sims"] < 1:
-        raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
-    if not 1 <= cfg["p"] <= cfg["n"]:
-        raise SystemExit(f"error: St(n, p) needs 1 <= p <= n, got n={cfg['n']}, p={cfg['p']}")
-    if cfg["n"] > np.iinfo(np.intp).max:
-        raise SystemExit(
-            f"error: n must be at most {np.iinfo(np.intp).max}, the largest array "
-            f"dimension, got n={cfg['n']}"
-        )
-    points = _grid(cfg["vary"])
-    solvers = [StiefelSolver(**{**merged, **point}) for point in points]
-    for solver in solvers:
-        solver.validate_params()
-    return cfg, merged, points, solvers
+    base = {key: merged.pop(key) for key in defaults if key in _SETTINGS}
+    points = _grid(base["vary"]) if isinstance(base["vary"], list) else [{}]  # else refused below
+    solvers = []
+    for point in points:
+        cfg = {key: point.get(key, value) for key, value in base.items()}
+        for key, value in cfg.items():
+            if not _typed_like(value, defaults[key]):
+                kind = type(defaults[key]).__name__
+                raise SystemExit(f"error: {key} must be {kind}, got {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise SystemExit(f"error: {key} must be one of {_CHOICES[key]}, got {value!r}")
+        if cfg["sims"] < 1:
+            raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
+        if not 1 <= cfg["p"] <= cfg["n"]:
+            raise SystemExit(f"error: St(n, p) needs 1 <= p <= n, got n={cfg['n']}, p={cfg['p']}")
+        if cfg["n"] > np.iinfo(np.intp).max:
+            raise SystemExit(
+                f"error: n must be at most {np.iinfo(np.intp).max}, the largest array "
+                f"dimension, got n={cfg['n']}"
+            )
+        solvers.append(StiefelSolver(**{key: point.get(key, v) for key, v in merged.items()}))
+        solvers[-1].validate_params()
+    return base, merged, points, solvers
 
 
 def main(argv=None) -> int:

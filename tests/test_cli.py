@@ -272,12 +272,16 @@ def test_sweep_rejects_weights_outside_unit_interval(tmp_path, capsys):
 def test_parse_vary_forms():
     assert _parse_vary("alpha=0,0.5,1") == ("alpha", [0.0, 0.5, 1.0])
     assert _parse_vary("alpha=0:0.25:1") == ("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
-    # VALUES are typed like the field's default; an unknown key's stay text.
+    # VALUES are typed like the setting's default, instance settings included;
+    # a bool reads as in a config file, and an unknown key's values stay text.
     assert _parse_vary("mode=monotone,nonmonotone") == ("mode", ["monotone", "nonmonotone"])
     assert _parse_vary("window=3,5") == ("window", [3, 5])
-    assert _parse_vary("n=10,20") == ("n", ["10", "20"])
+    assert _parse_vary("n=10,20") == ("n", [10, 20])
+    assert _parse_vary("known_solution=false,true") == ("known_solution", [False, True])
+    assert _parse_vary("family=wopp,eig") == ("family", ["wopp", "eig"])
+    assert _parse_vary("bogus=1,2") == ("bogus", ["1", "2"])
     assert _parse_vary("alpha=") == ("alpha", [])
-    for text in ("alpha=x", "window=1.5", "window=1:1:3", "alpha=0:1"):
+    for text in ("alpha=x", "window=1.5", "window=1:1:3", "alpha=0:1", "known_solution=False"):
         with pytest.raises(ValueError):  # argparse reports it as an invalid --vary value
             _parse_vary(text)
     with pytest.raises(argparse.ArgumentTypeError, match="step"):
@@ -347,20 +351,50 @@ def test_energy_and_eig_counts_do_not_depend_on_the_mix(tmp_path):
 # -- one instance per seed -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", [COMPARE, ["--vary", "alpha=0,0.5,1", "beta=1,0.5,0"]],
-                         ids=["compare", "sweep"])
-def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeypatch, command):
+# A grid and the (n, seed) of each instance it builds, in build order.
+_BUILDS = {
+    "compare": (COMPARE, [(12, 7), (12, 8)]),
+    "sweep": (["--vary", "alpha=0,0.5,1", "beta=1,0.5,0"], [(12, 7), (12, 8)]),
+    # Two instance settings x two modes: each (setting, seed) is built once.
+    "instances": (["--vary", "n=12,16", "p=3,4", *COMPARE], [(12, 7), (16, 7), (12, 8), (16, 8)]),
+}
+
+
+@pytest.mark.parametrize("command, builds", _BUILDS.values(), ids=list(_BUILDS))
+def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeypatch, command,
+                                                       builds):
     build, built = cli._build_instance, []
 
     def counting(cfg, seed):
-        built.append(seed)
+        built.append((cfg["n"], seed))
         return build(cfg, seed)
 
     monkeypatch.setattr(cli, "_build_instance", counting)
     assert main(["run", *command, "--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                  "--sims", "2", "--seed", "7", "--out", str(tmp_path / "out")]) == 0
-    assert built == [7, 8]
-    assert capsys.readouterr().out.count("instance:") == 1
+    assert built == builds
+    # One echo per instance setting, printed when its first seed is built.
+    assert capsys.readouterr().out.count("instance:") == len({n for n, _ in builds})
+
+
+def test_an_instance_grid_gives_the_rows_of_separate_runs(tmp_path):
+    settings = ["--family", "wopp", "--known-solution", "--sims", "2"]
+    out = tmp_path / "grid"
+    assert main(["run", *settings, "--vary", "n=12,16", "p=3,4", *COMPARE, "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "runs.csv")
+    assert header == ["n", "p", "mode", *RUN_COLUMNS]
+    assert [r[:2] for r in rows] == [["12", "3"]] * 4 + [["16", "4"]] * 4
+    keep = [c for c in header[2:] if c != "time_s"]
+    separate = []
+    for n, p in (("12", "3"), ("16", "4")):
+        assert main(["run", *settings, "--n", n, "--p", p, *COMPARE,
+                     "--out", str(tmp_path / n)]) == 0
+        run_header, run_rows = _read_csv(tmp_path / n / "runs.csv")
+        separate += [[r[run_header.index(c)] for c in keep] for r in run_rows]
+    assert [[r[header.index(c)] for c in keep] for r in rows] == separate
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["n"] == 50  # the base, which every point overrides
+    assert summary["points"][0] == {"n": 12, "p": 3, "mode": "monotone"}
 
 
 # -- one schema ----------------------------------------------------------------------------
@@ -373,6 +407,8 @@ _GRIDS = {
     "compare": (COMPARE, ["mode"]),
     "sweep": (SWEEP, ["alpha", "beta"]),
     "crossed": ([*COMPARE, *SWEEP], ["mode", "alpha", "beta"]),
+    # An instance axis inside a solver one: the files still go point by point.
+    "instances": ([*COMPARE, "--vary", "n=12,16", "p=3,4"], ["mode", "n", "p"]),
 }
 
 
@@ -395,7 +431,7 @@ def test_every_subcommand_writes_the_same_files_and_columns(tmp_path, command, k
     assert rows == [[_fmt(row[col]) for col in header] for row in summary["aggregate"]]
 
 
-@pytest.mark.parametrize("command", ["compare", "sweep", "crossed"])
+@pytest.mark.parametrize("command", ["compare", "sweep", "crossed", "instances"])
 def test_history_holds_the_first_run_of_each_point(tmp_path, command):
     args, keys = _GRIDS[command]
     out = tmp_path / "out"
@@ -492,14 +528,31 @@ _BAD_SETTINGS = {
     "tau0-int-too-large": ({"tau0": 10**400}, "tau0 must be finite"),
     "mu-int-too-large": ({"family": "energy", "mu": 10**400}, "mu must be finite"),
     "run-alphas": ({"alphas": [0.5]}, "unknown config key 'alphas'"),
-    # A grid over anything but solver fields, or of unequal or empty axes.
-    "vary-instance-key": (("--vary", "n=10,20"), "StiefelSolver fields only, got ['n']"),
-    "vary-unknown-key": ({"vary": [{"bogus": [1]}]}, "fields only, got ['bogus']"),
+    # A grid over the run's own keys or unknown ones, a key on two axes, or
+    # unequal or empty axes.
+    "vary-run-key": (("--vary", "sims=1,2"), "instance and solver settings, each on one axis, "
+                                             "got ['sims']"),
+    "vary-unknown-key": ({"vary": [{"bogus": [1]}]}, "solver settings, each on one axis, "
+                                                     "got ['bogus']"),
+    "vary-key-twice": (("--vary", "alpha=0.5,1", "--vary", "alpha=0.25"),
+                       "each on one axis, got ['alpha']"),
+    "vary-key-twice-config": ({"vary": [{"alpha": [0.5, 1], "beta": [0.5, 0]},
+                                        {"mode": ["monotone"], "alpha": [0.25]}]},
+                              "each on one axis, got ['alpha']"),
     "vary-empty-list": (("--vary", "mode="), "vary needs nonempty {KEY: [values]} lists"),
     "vary-unequal-counts": (("--vary", "alpha=0,1", "beta=1"),
                             "need as many values, got {'alpha': [0.0, 1.0], 'beta': [1.0]}"),
     "vary-empty-axis": ({"vary": [{}]}, "need as many values, got {}"),
     "vary-not-a-list": ({"vary": {"mode": ["monotone"]}}, "vary must be list"),
+    # Each point's instance settings get the base config's checks.
+    "vary-p-above-n": (("--vary", "p=3,60"), "St(n, p) needs 1 <= p <= n, got n=50, p=60"),
+    "vary-ptype-unknown": (("--vary", "ptype=1,7"), "ptype must be one of (1, 2, 3), got 7"),
+    "vary-family-unknown": (("--vary", "family=wopp,bogus"), "family must be one of"),
+    "vary-n-string": ({"vary": [{"n": [12, "16"]}]}, "n must be int, got '16'"),
+    "vary-known_solution-int": (("--vary", "known_solution=1"), "known_solution must be bool"),
+    # An int too large for a float reads inf, as the flag reads the same digits.
+    "vary-alpha-int-too-large": ({"vary": [{"alpha": [10**400]}]},
+                                 "alpha must be finite, got inf"),
     # Larger than any array dimension: refused by name before numpy sees it.
     "n-above-intp": ({"n": 10**41, "p": 3}, f"the largest array dimension, got n={10**41}"),
 }
@@ -558,6 +611,25 @@ def _without_timing_or_out(out):
     for record in [*summary["runs"], *summary["aggregate"]]:
         del record["time_s"]
     return [[v for i, v in enumerate(row) if i != drop] for row in rows], summary
+
+
+def test_config_vary_values_are_typed_like_the_flags(tmp_path):
+    # An int for a float setting is a float, as "--vary alpha=1" parses to 1.0,
+    # so both forms lead their rows with 1.0,0.0, not 1,0.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"vary": [{"alpha": [1, 0.5], "beta": [0, 0.5]}]}))
+    flags = ["--vary", "alpha=1,0.5", "beta=0,0.5"]
+    for name, grid in (("cfg", ["--config", str(cfg_path)]), ("flags", flags)):
+        assert main(["run", *_WOPP_SETTINGS, *grid, "--out", str(tmp_path / name)]) == 0
+    tables = {}
+    for name in ("cfg", "flags"):
+        header, rows = _read_csv(tmp_path / name / "aggregate.csv")
+        drop = header.index("time_s")
+        aggregate = [[v for i, v in enumerate(row) if i != drop] for row in rows]
+        runs, summary = _without_timing_or_out(tmp_path / name)
+        tables[name] = (runs, aggregate, json.dumps(summary["points"]))
+    assert tables["cfg"] == tables["flags"]
+    assert [row[:2] for row in tables["cfg"][0]] == [["1.0", "0.0"]] * 2 + [["0.5", "0.5"]] * 2
 
 
 def test_config_file_and_flags_share_one_declaration(tmp_path):
