@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import as_generator, random_orthonormal
-from .problems import EigProblem, EnergyProblem, WoppProblem
+from .problems import _FAMILIES, EigProblem, EnergyProblem, WoppProblem, _checked_mu
 from .solver import PARAM_CHOICES, StiefelSolver
 
 #: ``key -> (default, help)`` of each setting that is not a solver field.
@@ -47,7 +47,7 @@ _RUN = ("sims", "seed", "out", "history", "vary")
 _DEFAULTS = {**_SETTINGS, **{f.name: (f.default, None) for f in fields(StiefelSolver)}}
 
 #: Allowed values of the settings that have them, offered as the flags' choices.
-_CHOICES = {"family": ("wopp", "energy", "eig"), "ptype": (1, 2, 3), **PARAM_CHOICES}
+_CHOICES = {"family": tuple(_FAMILIES), "ptype": (1, 2, 3), **PARAM_CHOICES}
 #: The run-record columns that ``aggregate.csv`` reduces to min/mean/max.
 _AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
 
@@ -252,6 +252,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
                 raise SystemExit(f"error: {key} must be {kind}, got {value!r}")
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise SystemExit(f"error: {key} must be one of {_CHOICES[key]}, got {value!r}")
+        if cfg["family"] == "energy":  # the other families ignore mu
+            _checked_mu(cfg["mu"])
         if cfg["sims"] < 1:
             raise SystemExit(f"error: sims must be an int >= 1, got {cfg['sims']!r}")
         if not 1 <= cfg["p"] <= cfg["n"]:

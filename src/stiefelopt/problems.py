@@ -118,6 +118,15 @@ class _SharedWork:
             return memo[1]
         return None
 
+    def to_dict(self) -> dict:
+        """``family`` plus each constructor argument, read from the attribute of
+        its name, arrays as lists: the form :func:`problem_from_dict` reads."""
+        out = {"family": self.family}
+        for name in inspect.signature(type(self)).parameters:
+            value = getattr(self, name)
+            out[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Weighted orthogonal Procrustes
@@ -145,6 +154,8 @@ class WoppProblem(_SharedWork):
         Seed recorded by :meth:`generate` for serialization.
     """
 
+    family = "wopp"
+
     def __init__(self, a, c, b, ptype: int | None = None, solution=None, seed=None):
         self.a = as_matrix(a, "a")
         self.c = as_matrix(c, "c")
@@ -167,7 +178,7 @@ class WoppProblem(_SharedWork):
         self.ptype = ptype
         self.seed = seed
         self.shape = (m, n)
-        self.name = f"wopp-p{ptype}" if ptype is not None else "wopp"
+        self.name = f"{self.family}-p{ptype}" if ptype is not None else self.family
 
     @staticmethod
     def _diagonal(m: int, ptype: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,23 +259,21 @@ class WoppProblem(_SharedWork):
             r = self._residual(x)
         return self.a.T @ r @ self.c.T
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "wopp",
-            "ptype": self.ptype,
-            "m": self.shape[0],
-            "n": self.shape[1],
-            "seed": self.seed,
-            "a": self.a.tolist(),
-            "c": self.c.tolist(),
-            "b": self.b.tolist(),
-            "solution": None if self.solution is None else self.solution.tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Coupled total energy with a tridiagonal stiffness matrix
 # ---------------------------------------------------------------------------
+
+
+def _checked_mu(mu) -> float:
+    """``mu`` as a float; :class:`ValueError` unless it is finite and >= 0."""
+    try:
+        finite = 0 <= mu and math.isfinite(mu)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    return float(mu)
 
 
 class EnergyProblem(_SharedWork):
@@ -279,18 +288,13 @@ class EnergyProblem(_SharedWork):
     ``L^{-1} rho`` is one LAPACK ``pbtrs`` call on it, as in ``cho_solve_banded``.
     """
 
+    family = name = "energy"
+
     def __init__(self, n: int, k: int, mu: float = 1.0):
         if n < k or k < 1:
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-        try:
-            finite = 0 <= mu and math.isfinite(mu)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ValueError(f"mu must be finite and >= 0, got {mu}")
-        self.mu = float(mu)
-        self.shape = (n, k)
-        self.name = "energy"
+        self.mu = _checked_mu(mu)
+        self.n, self.k = self.shape = (n, k)
         ab = np.zeros((2, n))
         ab[0, 1:] = -1.0
         ab[1, :] = 2.0
@@ -337,14 +341,6 @@ class EnergyProblem(_SharedWork):
         g += lx
         return g
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "energy",
-            "n": self.shape[0],
-            "k": self.shape[1],
-            "mu": self.mu,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Dominant eigenspace via trace minimization
@@ -363,6 +359,8 @@ class EigProblem(_SharedWork):
     the bit at some shapes, St(1000, 10) among them, on OpenBLAS) and is the
     faster orientation for a tall, thin ``X`` there (timings in the README).
     """
+
+    family = name = "eig"
 
     def __init__(self, a, p: int, oracle_eigs=None, seed=None):
         a = as_matrix(a, "a")
@@ -385,7 +383,6 @@ class EigProblem(_SharedWork):
             )
         self.seed = seed
         self.shape = (n, p)
-        self.name = "eig"
 
     @classmethod
     def generate(
@@ -436,24 +433,12 @@ class EigProblem(_SharedWork):
             return math.inf
         return abs(target - estimate) / abs(estimate)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "eig",
-            "n": self.shape[0],
-            "p": self.p,
-            "seed": self.seed,
-            "a": self.a.tolist(),
-            "oracle_eigs": None
-            if self.oracle_eigs is None
-            else self.oracle_eigs.tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {"wopp": WoppProblem, "energy": EnergyProblem, "eig": EigProblem}
+_FAMILIES = {cls.family: cls for cls in (WoppProblem, EnergyProblem, EigProblem)}
 
 
 def problem_from_dict(data: dict):
@@ -468,7 +453,7 @@ def problem_from_dict(data: dict):
 
 
 def save_problem(problem, path) -> None:
-    """Write a problem instance as JSON (dims, type tag, seed, dense data)."""
+    """Write a problem instance as JSON: its ``family`` and constructor arguments."""
     Path(path).write_text(json.dumps(problem.to_dict()), encoding="utf-8")
 
 

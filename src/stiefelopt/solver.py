@@ -351,21 +351,19 @@ class StiefelSolver:
                     finite = False
                 if not finite:
                     raise ValueError(f"{f.name} must be finite, got {value}")
+            elif isinstance(f.default, int):
+                if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
+                    raise ValueError(f"{f.name} must be an int >= 1, got {value!r}")
+            elif value not in PARAM_CHOICES[f.name]:
+                raise ValueError(f"{f.name} must be one of {PARAM_CHOICES[f.name]}, got {value!r}")
         if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta > 0):
             raise ValueError(
                 f"need alpha >= 0, beta >= 0, alpha + beta > 0; "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
-        for name, allowed in PARAM_CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("epsilon", "tolx", "tolf", "tau0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("window", "max_iters", "max_halvings"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0 < self.rho1 < 1:

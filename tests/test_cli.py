@@ -523,6 +523,8 @@ _BAD_SETTINGS = {
     "step_init-auto": ({"step_init": "auto"}, "step_init must be one of"),
     "flags-delta-above-one": (("--delta", "2"), "delta must be in (0, 1), got 2.0"),
     "flags-mu-nan": (("--family", "energy", "--mu", "nan"), "mu must be finite"),
+    "vary-mu-nan": (("--family", "energy", "--vary", "mu=1,nan"),
+                    "mu must be finite and >= 0, got nan"),
     # A 401-digit integer is a finite JSON number that no float can hold.
     "alpha-int-too-large": ({"alpha": 10**400}, "alpha must be finite"),
     "tau0-int-too-large": ({"tau0": 10**400}, "tau0 must be finite"),
@@ -571,6 +573,13 @@ def test_bad_settings_are_refused_before_any_output(tmp_path, capsys, settings, 
     assert error.startswith("error: ") and error.count("error:") == 1
     assert message in error
     assert not out.exists()
+
+
+def test_mu_is_checked_only_at_energy_points(tmp_path):
+    # The other families ignore mu, so a wopp point runs with any mu.
+    code = main(_run_args(tmp_path, "--sims", "1", "--vary", "family=wopp,energy", "mu=nan,1"))
+    _, rows = _read_csv(tmp_path / "out" / "runs.csv")
+    assert code == 0 and len(rows) == 2
 
 
 def test_out_of_memory_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Benchmark objectives: generators, analytic gradients vs the
 finite-difference oracle, hand-computed values, and JSON round-trips."""
 
+import inspect
 import json
 import math
 
@@ -26,6 +27,8 @@ from stiefelopt import (
     random_orthonormal,
     save_problem,
 )
+from stiefelopt.cli import _DEFAULTS, _build_instance
+from stiefelopt.problems import _FAMILIES
 
 from helpers import traced_peak
 
@@ -395,6 +398,22 @@ def test_problem_from_dict_rejects_unknown_family():
         del data[key]
         with pytest.raises(KeyError, match=f"^'{key}'$"):
             problem_from_dict(data)
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_a_families_json_form_is_its_constructors_arguments(family):
+    # to_dict and problem_from_dict both read the constructor, so a family gets
+    # its JSON form from its class; a file that also carries the dimension keys
+    # written before, such as m and n for WOPP, still loads.
+    cfg = {key: default for key, (default, _) in _DEFAULTS.items()}
+    cfg.update(family=family, n=7, p=3, known_solution=True, mu=2.5)
+    problem, x, _, _ = _build_instance(cfg, seed=4)
+    data = json.loads(json.dumps(problem.to_dict()))
+    assert list(data) == ["family", *inspect.signature(_FAMILIES[family]).parameters]
+    for loaded in (problem_from_dict(data), problem_from_dict({"m": 0, "n": 0, **data})):
+        assert type(loaded) is _FAMILIES[family]
+        assert loaded.value(x) == problem.value(x)
+        npt.assert_array_equal(loaded.gradient(x), problem.gradient(x))
 
 
 # -- work shared between value and gradient ----------------------------------------------

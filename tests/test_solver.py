@@ -184,6 +184,19 @@ def test_integer_parameters_accept_numpy_integers():
     assert (a.nitr, a.nfe, a.termination, a.fval) == (b.nitr, b.nfe, b.termination, b.fval)
 
 
+@pytest.mark.parametrize("f", dataclasses.fields(StiefelSolver), ids=lambda f: f.name)
+def test_every_field_refuses_a_wrong_typed_value_by_name(f):
+    # Each field is checked by its declared type, so a field added later is
+    # checked without being listed anywhere.
+    bad, message = {
+        float: ("x", "must be a real number"),
+        int: (1.5, "must be an int >= 1"),
+        str: (1, "must be one of"),
+    }[type(f.default)]
+    with pytest.raises(ValueError, match=f"^{f.name} {message}"):
+        StiefelSolver(**{f.name: bad}).validate_params()
+
+
 # -- stopping rules -------------------------------------------------------------------
 
 
