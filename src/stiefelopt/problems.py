@@ -102,14 +102,21 @@ class _SharedWork:
     gradient, so its last rejected trial and that trial's intermediate (two
     ``n x p`` arrays, plus an ``n``-vector for energy) stay in the slot until
     the problem's next ``value`` call: memory held, never a changed result.
+    An idle :class:`EigProblem` also holds its last iterate and that iterate's
+    ``A X`` (one more ``n x p`` array), which its ``gradient`` keeps for the
+    line search that follows.
     """
 
     _memo: tuple | None = None
 
+    @staticmethod
+    def _frozen(x) -> bool:
+        """Whether ``x`` is a read-only array that owns its data, so cannot change."""
+        return isinstance(x, np.ndarray) and not x.flags.writeable and x.base is None
+
     def _keep(self, x, work):
         """Store ``work`` as the intermediate at ``x`` when ``x`` cannot change."""
-        frozen = isinstance(x, np.ndarray) and not x.flags.writeable and x.base is None
-        self._memo = (x, work) if frozen else None
+        self._memo = (x, work) if self._frozen(x) else None
 
     def _take(self, x):
         """The intermediate kept at this very ``x``, or None; empties the slot."""
@@ -358,9 +365,16 @@ class EigProblem(_SharedWork):
     with it is formed as ``(X^T A)^T``.  That equals ``A X`` to roundoff (to
     the bit at some shapes, St(1000, 10) among them, on OpenBLAS) and is the
     faster orientation for a tall, thin ``X`` there (timings in the README).
+
+    ``gradient`` keeps the ``A X`` it takes at a read-only iterate.  The line
+    search reads it and a rejected trial's ``A Z`` through :meth:`_product`,
+    then values the later trials with :meth:`_value_from` at products formed
+    along the retraction curve: a backtracked trial costs ``O(n p^2)``, not a
+    product with ``A``.
     """
 
     family = name = "eig"
+    _at_iterate: tuple | None = None
 
     def __init__(self, a, p: int, oracle_eigs=None, seed=None):
         a = as_matrix(a, "a")
@@ -413,15 +427,27 @@ class EigProblem(_SharedWork):
         return (x.T @ self.a).T
 
     def value(self, x: np.ndarray) -> float:
-        ax = self._times_a(x)
-        self._keep(x, ax)
-        return -float(np.sum(x * ax))
+        return self._value_from(x, self._times_a(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         ax = self._take(x)
         if ax is None:
             ax = self._times_a(x)
+        self._at_iterate = (x, ax) if self._frozen(x) else None
         return np.multiply(ax, -2.0, order="C")  # ax is F-ordered; the split wants C
+
+    def _value_from(self, x: np.ndarray, ax: np.ndarray) -> float:
+        """``value(x)`` given ``A X``, which is kept for the gradient as ``value``'s own is."""
+        self._keep(x, ax)
+        return -float(np.sum(x * ax))
+
+    def _product(self, x: np.ndarray):
+        """The ``A X`` last kept at this very read-only ``x``, by ``value`` or by
+        ``gradient``, or None.  Unlike ``_take`` it leaves both slots as they are."""
+        for kept in (self._memo, self._at_iterate):
+            if kept is not None and kept[0] is x and not x.flags.writeable:
+                return kept[1]
+        return None
 
     def relative_error(self, x: np.ndarray) -> float:
         """``|sum of top-p oracle eigenvalues - tr(X^T A X)| / |tr(X^T A X)|``."""

@@ -63,7 +63,10 @@ class Objective(Protocol):
     accepted line-search trial); trials it rejects get ``value`` alone.  An
     objective may therefore keep work its ``value`` did for the ``gradient``
     that follows, keyed by the identity of a read-only ``x``, as the built-in
-    problems do.
+    problems do.  The order is the same for every objective; an
+    :class:`~stiefelopt.EigProblem` also keeps its products with ``A``, from
+    which the line search values a backtracked trial at ``O(n p^2)`` through
+    its private methods, without a product with ``A``.
     """
 
     shape: tuple[int, int]

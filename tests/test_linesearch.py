@@ -2,24 +2,31 @@
 reference, and Armijo backtracking along the projected curve."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stiefelopt import (
+    EigProblem,
     NonmonotoneState,
     StiefelPoint,
     backtrack,
     bb_steps,
     clamp_step,
     descent_derivative,
+    frobenius_norm,
     gradient_split,
     mixed_direction,
     nonmonotone_update,
+    random_orthonormal,
     retract,
 )
+from stiefelopt.directions import _mix
+from stiefelopt.linesearch import CURVE_MAX_COND
+from stiefelopt.solver import PARAM_CHOICES
 
 
 class _ValueOnly:
@@ -230,3 +237,108 @@ def test_backtrack_validates_arguments():
         backtrack(objective, point, direction, slope, 1.0, c_ref=2.0, rho1=1.0)
     with pytest.raises(ValueError, match="delta"):
         backtrack(objective, point, direction, slope, 1.0, c_ref=2.0, delta=0.0)
+
+
+# -- eig trials along the curve ---------------------------------------------------
+
+
+class _CheckedEig(EigProblem):
+    """An eig problem that counts its products with ``A`` and, for each value
+    it takes from a given ``A Z``, records the relative errors of that product
+    and of the value against the direct ``(Z^T A)^T``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.products, self.errors = 0, []
+
+    def _times_a(self, x):
+        self.products += 1
+        return super()._times_a(x)
+
+    def _value_from(self, x, ax):
+        direct = (x.T @ self.a).T
+        value = super()._value_from(x, ax)
+        exact = -float(np.sum(x * direct))
+        self.errors.append(
+            (abs(value - exact) / abs(exact), frobenius_norm(ax - direct) / frobenius_norm(direct))
+        )
+        return value
+
+
+def _eig_search(shape, seed, mix, mode):
+    """``(problem, point, direction, slope, c_ref)`` of a search from a random
+    start along the ``(alpha, beta)`` mix, after the start's value and
+    gradient, as the solver leaves them."""
+    problem = _CheckedEig.generate(*shape, seed=seed)
+    point = StiefelPoint(random_orthonormal(*shape, seed))
+    f_x = problem.value(point.x)
+    split = gradient_split(point, problem.gradient(point.x))
+    c_ref = f_x
+    if mode == "nonmonotone":  # the reference after a step down from 0.9 F(X)
+        c_ref = nonmonotone_update(NonmonotoneState(q=1.0, c=0.9 * f_x), f_x, 0.85).c
+    return problem, point, _mix(split, *mix), descent_derivative(split, *mix), c_ref
+
+
+def _fields(result):
+    return (result.tau, result.value, result.nfe, result.fastpath, result.accepted,
+            result.point.x.tobytes())
+
+
+# At (16, 12), (9, 3) and (12, 1) the (X^T A)^T product differs from A X in
+# the last bits.  At (16, 12) the complement direction (alpha = 0) has rank
+# at most 4, so its steps grow ill-conditioned with tau.  At (2, 2) the
+# objective is constant, so the direction is rounding noise, far from
+# tangent: in the seed-14080 example the first step's condition number is
+# 4.7 and the second's 8e4.  An infinite stretch is an infinite BB quotient
+# clamped to the default tau_max = 1e20.
+@settings(deadline=None, max_examples=50)
+@given(
+    shape=st.sampled_from([(16, 12), (9, 3), (12, 1), (40, 5), (2, 2)]),
+    seed=st.integers(0, 2**16),
+    stretch=st.one_of(st.floats(-6, 6).map(lambda e: 10.0**e), st.just(math.inf)),
+    mix=st.sampled_from([(1.0, 0.0), (0.75, 0.5), (0.0, 1.0)]),
+    mode=st.sampled_from(PARAM_CHOICES["mode"]),
+    rho1=st.sampled_from([1e-4, 0.9]),
+)
+@example(shape=(16, 12), seed=0, stretch=1e-6, mix=(1.0, 0.0), mode="monotone", rho1=1e-4)
+@example(shape=(16, 12), seed=0, stretch=100.0, mix=(0.0, 1.0), mode="monotone", rho1=0.9)
+@example(shape=(9, 3), seed=0, stretch=10.0, mix=(0.75, 0.5), mode="monotone", rho1=0.9)
+@example(shape=(12, 1), seed=0, stretch=10.0, mix=(1.0, 0.0), mode="nonmonotone", rho1=0.9)
+@example(shape=(40, 5), seed=0, stretch=1e6, mix=(0.75, 0.5), mode="nonmonotone", rho1=1e-4)
+@example(shape=(40, 5), seed=0, stretch=math.inf, mix=(1.0, 0.0), mode="monotone", rho1=0.9)
+@example(shape=(2, 2), seed=14080, stretch=8.134691119331249, mix=(1.0, 0.0), mode="monotone", rho1=1e-4)
+def test_eig_curve_values_match_the_direct_product(shape, seed, stretch, mix, mode, rho1):
+    problem, point, direction, slope, c_ref = _eig_search(shape, seed, mix, mode)
+    assume(slope < 0)
+    tau0 = clamp_step(stretch / frobenius_norm(direction), 1e-20, 1e20)
+    problem.errors.clear()
+    result = backtrack(problem, point, direction, slope, tau0, c_ref, rho1=rho1)
+    assert all(err_f <= 1e-13 and err_az <= 1e-13 for err_f, err_az in problem.errors)
+    if result.accepted and result.nfe > 1:
+        # The A Z the accepted trial leaves is what its gradient takes.
+        products, kept = problem.products, problem._product(result.point.x)
+        direct = (result.point.x.T @ problem.a).T
+        assert frobenius_norm(kept - direct) <= 1e-13 * frobenius_norm(direct)
+        assert problem.gradient(result.point.x).tobytes() == (-2.0 * kept).tobytes()
+        assert problem.products == products
+    proxy = SimpleNamespace(
+        shape=problem.shape, name=problem.name, value=problem.value, gradient=problem.gradient
+    )
+    plain = backtrack(proxy, point, direction, slope, tau0, c_ref, rho1=rho1)
+    if result.nfe == 1:
+        assert _fields(result) == _fields(plain)
+
+
+# The complement direction at St(16, 12) has rank at most 4, so the step at
+# tau ||H||_F = t has condition number between sqrt(1 + t^2 / 4) and
+# sqrt(1 + t^2): past CURVE_MAX_COND = 10 at t = 100 and 30, which take their
+# own products, and within it from t = 9 on, where the curve takes over.
+@pytest.mark.parametrize("stretch, direct", [(3.0, 1), (100.0, 3)])
+def test_eig_backtrack_takes_products_until_the_curve_is_conditioned(stretch, direct):
+    assert CURVE_MAX_COND == 10
+    problem, point, direction, slope, c_ref = _eig_search((16, 12), 0, (0.0, 1.0), "monotone")
+    tau0 = stretch / frobenius_norm(direction)
+    products = problem.products
+    result = backtrack(problem, point, direction, slope, tau0, c_ref, rho1=0.9)
+    assert result.accepted and result.nfe > direct
+    assert problem.products - products == direct

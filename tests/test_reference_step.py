@@ -57,14 +57,17 @@ def _wopp(seed):
     return problem, random_orthonormal(40, 8, rng)
 
 
+def _eig(seed):
+    return EigProblem.generate(30, 4, seed=seed), random_orthonormal(30, 4, seed)
+
+
 CASES = {
     "wopp-default": (_wopp, dict(alpha=0.5, beta=0.5)),
     "wopp-monotone-mixed": (_wopp, dict(alpha=0.5, beta=0.5, mode="monotone", bb_gradient="mixed")),
     "wopp-bb2-fixed": (_wopp, dict(alpha=0.5, beta=0.5, bb_mode="bb2", step_init="fixed")),
-    "eig-monotone": (
-        lambda seed: (EigProblem.generate(30, 4, seed=seed), random_orthonormal(30, 4, seed)),
-        dict(mode="monotone"),
-    ),
+    "eig-monotone": (_eig, dict(mode="monotone")),
+    # rho1 = 0.9 makes searches backtrack, so later trials are valued along the curve.
+    "eig-monotone-backtracks": (_eig, dict(mode="monotone", rho1=0.9)),
     "energy-default": (lambda seed: (EnergyProblem(40, 4), random_orthonormal(40, 4, seed)), {}),
 }
 # The rest of mode x bb_mode x bb_gradient x step_init on the same WOPP instances.
@@ -76,34 +79,38 @@ for _cell in itertools.product(*(PARAM_CHOICES[axis] for axis in _AXES)):
 
 
 def _check_steps(solver, problem, x0):
-    """Run ``solver`` on ``problem`` from ``x0`` and check each ``_step`` it
-    takes against ``reference_step`` from the same iterate."""
-    step, iterates = StiefelSolver._step, []
+    """Run ``solver`` on ``problem`` from ``x0``, check each ``_step`` it
+    took against ``reference_step`` from the same iterate, and return the
+    objective values each step spent."""
+    step, steps = StiefelSolver._step, []
 
     def recording(self, objective, it):
-        iterates.append(it)
-        return step(self, objective, it)
+        outcome = step(self, objective, it)
+        steps.append((it, *outcome))
+        return outcome
 
     with mock.patch.object(StiefelSolver, "_step", recording):
         solver.solve(problem, x0)
-    assert [it.record.k for it in iterates] == list(range(solver.max_iters))
+    assert [it.record.k for it, _, _ in steps] == list(range(solver.max_iters))
 
     def close(a, b):
         return np.linalg.norm(np.subtract(a, b)) <= 1e-10 * np.linalg.norm(b)
 
-    for it in iterates:
+    for it, nxt, spent in steps:
         slope, tau, x, c, nfe, (s, r) = reference_step(solver, problem, it)
-        nxt, spent = step(solver, problem, it)
         assert spent == nxt.record.nfe == nfe
         assert close(it.record.slope, slope) and close(nxt.record.tau, tau)
         assert close(nxt.record.cval, c) and close(nxt.point.x, x)
         assert close(nxt.bb_pair[0], s) and close(nxt.bb_pair[1], r)
+    return [spent for _, _, spent in steps]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_step_matches_the_literal_iteration(case):
     build, params = CASES[case]
-    _check_steps(StiefelSolver(max_iters=6, **params), *build(1))
+    spent = _check_steps(StiefelSolver(max_iters=6, **params), *build(1))
+    if case == "eig-monotone-backtracks":
+        assert max(spent) >= 2
 
 
 # At these shapes eig's value and gradient products, formed in the
@@ -114,6 +121,6 @@ def test_step_matches_the_literal_iteration(case):
 @example(shape=(9, 3), seed=0)
 @example(shape=(12, 1), seed=0)
 def test_eig_step_matches_the_literal_iteration_at_drawn_shapes(shape, seed):
-    problem = EigProblem.generate(*shape, seed=seed)
-    _check_steps(StiefelSolver(max_iters=6, mode="monotone"), problem,
-                 random_orthonormal(*shape, seed))
+    problem, x0 = EigProblem.generate(*shape, seed=seed), random_orthonormal(*shape, seed)
+    _check_steps(StiefelSolver(max_iters=6, mode="monotone"), problem, x0)
+    assert max(_check_steps(StiefelSolver(max_iters=6, mode="monotone", rho1=0.9), problem, x0)) >= 2

@@ -662,9 +662,10 @@ class _CountingMatrix(np.ndarray):
         return np.matmul(other, self.view(np.ndarray))
 
 
-def test_eig_solve_takes_one_product_with_a_per_value(monkeypatch):
-    # The gradient reuses the A @ X its value just formed, so a solve costs
-    # nfe products with A, not nfe + nge.
+def test_eig_solve_takes_one_product_with_a_per_iterate(monkeypatch):
+    # The gradient reuses the A @ X its value just formed, and a search's
+    # later trials are valued along the curve from that A @ X and the first
+    # trial's A @ Z, so a solve costs nge products with A, not nfe + nge.
     rng = as_generator(2)
     problem = EigProblem.generate(60, 4, rng=rng)
     x0 = random_orthonormal(60, 4, rng)
@@ -672,8 +673,9 @@ def test_eig_solve_takes_one_product_with_a_per_value(monkeypatch):
     problem.a = problem.a.view(_CountingMatrix)
     report = StiefelSolver(mode="monotone", step_init="bb").solve(problem, x0)
     assert report.converged
-    assert _CountingMatrix.products == report.nfe
-    assert problem._memo is None  # no iterate outlives its gradient
+    assert report.nfe > report.nge  # some search backtracked
+    assert _CountingMatrix.products == report.nge
+    assert problem._memo is None  # no trial outlives its gradient in the memo
 
 
 def test_random_start_is_reproducible_from_seed():
