@@ -48,6 +48,9 @@ _DEFAULTS = {**_SETTINGS, **{f.name: (f.default, None) for f in fields(StiefelSo
 
 #: Allowed values of the settings that have them, offered as the flags' choices.
 _CHOICES = {"family": tuple(_FAMILIES), "ptype": (1, 2, 3), **PARAM_CHOICES}
+#: The largest ``n`` whose ``n x n`` float64 array has a byte count numpy can hold
+#: (1073741823 on 64-bit builds); wopp and eig build one.
+_SQUARE_MAX_N = math.isqrt(np.iinfo(np.intp).max // 8)
 #: The run-record columns that ``aggregate.csv`` reduces to min/mean/max.
 _AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
 
@@ -262,6 +265,11 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
             raise SystemExit(
                 f"error: n must be at most {np.iinfo(np.intp).max}, the largest array "
                 f"dimension, got n={cfg['n']}"
+            )
+        if cfg["family"] in ("wopp", "eig") and cfg["n"] > _SQUARE_MAX_N:
+            raise SystemExit(
+                f"error: {cfg['family']} builds an n x n array, so n must be at most "
+                f"{_SQUARE_MAX_N}, got n={cfg['n']}"
             )
         solvers.append(StiefelSolver(**{key: point.get(key, v) for key, v in merged.items()}))
         solvers[-1].validate_params()

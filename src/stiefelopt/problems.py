@@ -354,6 +354,15 @@ class EnergyProblem(_SharedWork):
 # ---------------------------------------------------------------------------
 
 
+#: ``EigProblem._times_a`` takes ``A X`` in row panels of at most this many
+#: multiply-adds (rows x n x p): up to it OpenBLAS 0.3.31 multiplies without
+#: packing ``A`` into its blocked buffers, which a 10-column ``X`` never repays.
+_PANEL_WORK = 10**6
+#: Panels are taken only for ``p`` up to this and at least this many rows each;
+#: elsewhere on the timed grid ``(X^T A)^T`` is as fast or faster.
+_PANEL_MAX_P, _PANEL_MIN_ROWS = 20, 32
+
+
 class EigProblem(_SharedWork):
     """Minimize ``-trace(X^T A X)`` for symmetric positive semidefinite ``A``.
 
@@ -361,10 +370,11 @@ class EigProblem(_SharedWork):
     eigenvalues, so the final trace can be scored against a dense
     eigensolver.
 
-    ``A`` is stored exactly symmetric (``0.5 * (A + A^T)``), so every product
-    with it is formed as ``(X^T A)^T``.  That equals ``A X`` to roundoff (to
-    the bit at some shapes, St(1000, 10) among them, on OpenBLAS) and is the
-    faster orientation for a tall, thin ``X`` there (timings in the README).
+    Every product with ``A`` is :meth:`_times_a`: row panels ``A[i:i+r] @ X``
+    for a thin ``X`` at sizes where they were timed faster (St(1000, 10) among
+    them), else ``(X^T A)^T``.  The latter equals ``A X`` to roundoff because
+    ``A`` is stored exactly symmetric (``0.5 * (A + A^T)``).  Timings are in
+    the README.
 
     ``gradient`` keeps the ``A X`` it takes at a read-only iterate.  The line
     search reads it and a rejected trial's ``A Z`` through :meth:`_product`,
@@ -397,6 +407,9 @@ class EigProblem(_SharedWork):
             )
         self.seed = seed
         self.shape = (n, p)
+        # Rows in each panel of A X, or 0 where _times_a takes (X^T A)^T.
+        rows = _PANEL_WORK // (n * p)
+        self._panel_rows = rows if p <= _PANEL_MAX_P and _PANEL_MIN_ROWS <= rows < n else 0
 
     @classmethod
     def generate(
@@ -423,8 +436,22 @@ class EigProblem(_SharedWork):
         return problem
 
     def _times_a(self, x: np.ndarray) -> np.ndarray:
-        """``A X``, formed as ``(X^T A)^T`` (``A`` is exactly symmetric)."""
-        return (x.T @ self.a).T
+        """``A X``: for a thin ``X``, C-ordered, from row panels ``A[i:i+r] @ X``
+        of ``r = 10**6 // (n p)`` rows, the products OpenBLAS takes without
+        repacking ``A``; else F-ordered, as ``(X^T A)^T`` (``A`` is exactly
+        symmetric).  ``__init__`` chooses from ``n`` and ``p`` alone: panels
+        where they were timed faster, ``p <= 20`` and ``32 <= r < n`` (grid in
+        the README)."""
+        rows = self._panel_rows
+        if not rows:
+            return (x.T @ self.a).T
+        n, p = x.shape
+        ax = np.empty((n, p))
+        full = n - n % rows  # one batched call over the full panels, then the ragged one
+        np.matmul(self.a[:full].reshape(-1, rows, n), x, out=ax[:full].reshape(-1, rows, p))
+        if full < n:
+            np.matmul(self.a[full:], x, out=ax[full:])
+        return ax
 
     def value(self, x: np.ndarray) -> float:
         return self._value_from(x, self._times_a(x))
@@ -434,7 +461,7 @@ class EigProblem(_SharedWork):
         if ax is None:
             ax = self._times_a(x)
         self._at_iterate = (x, ax) if self._frozen(x) else None
-        return np.multiply(ax, -2.0, order="C")  # ax is F-ordered; the split wants C
+        return np.multiply(ax, -2.0, order="C")  # ax may be F-ordered; the split wants C
 
     def _value_from(self, x: np.ndarray, ax: np.ndarray) -> float:
         """``value(x)`` given ``A X``, which is kept for the gradient as ``value``'s own is."""

@@ -557,6 +557,15 @@ _BAD_SETTINGS = {
                                  "alpha must be finite, got inf"),
     # Larger than any array dimension: refused by name before numpy sees it.
     "n-above-intp": ({"n": 10**41, "p": 3}, f"the largest array dimension, got n={10**41}"),
+    # An n x n float64 array of more than intp.max bytes (64-bit bound): refused by
+    # name before any instance is built, not by numpy.
+    **{
+        f"{family}-n-above-square": (
+            {"family": family, "n": 10**10, "p": 3},
+            f"{family} builds an n x n array, so n must be at most 1073741823, got n={10**10}",
+        )
+        for family in ("wopp", "eig")
+    },
 }
 
 

@@ -324,8 +324,9 @@ def test_eig_generate_holds_at_most_two_n_by_n_arrays():
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 12), st.integers(-16, -12), st.integers(0, 2**32 - 1))
 def test_eig_matrix_is_stored_exactly_symmetric(n, exponent, seed):
-    # Products with A are formed as (X^T A)^T, which is A X only when A == A^T
-    # to the bit, also for input that is symmetric only within the tolerance.
+    # The gradient is -2 A X, and off the row-panel shapes products with A are
+    # formed as (X^T A)^T, which reads A^T: that is A X only when A == A^T to
+    # the bit, also for input that is symmetric only within the tolerance.
     rng = as_generator(seed)
     m = rng.standard_normal((n, n))
     m = m + m.T + 10.0**exponent * rng.standard_normal((n, n))
@@ -335,21 +336,35 @@ def test_eig_matrix_is_stored_exactly_symmetric(n, exponent, seed):
     assert np.array_equal(generated, generated.T)
 
 
+# St(16, 12) and St(100, 10) take (X^T A)^T; St(300, 12) and St(1000, 10) take row panels.
 @settings(deadline=None, max_examples=20)
-@given(st.sampled_from([(16, 12), (100, 10)]), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([(16, 12), (100, 10), (300, 12), (1000, 10)]), st.integers(0, 2**32 - 1))
 def test_eig_value_and_gradient_match_a_times_x(shape, seed):
-    # On OpenBLAS, (X^T A)^T and A X differ in their last bits at these shapes.
-    # The gradient is C-ordered, which gradient_split keeps without a copy.
+    # On OpenBLAS, (X^T A)^T and A X differ in their last bits at the first two
+    # shapes.  The gradient is C-ordered, which gradient_split keeps without a copy.
     n, p = shape
     problem = EigProblem.generate(n, p, with_oracle=False, seed=seed)
     x = StiefelPoint(random_orthonormal(n, p, seed)).x
     ax = problem.a @ x
+    if n >= 300:
+        panels = problem._times_a(x)
+        assert frobenius_norm(panels - ax) <= 1e-14 * frobenius_norm(ax)
+        assert panels.flags.c_contiguous
     expected = -np.sum(x * ax)
     assert abs(problem.value(x) - expected) <= 1e-13 * abs(expected)
     for grad in (problem.gradient(x), problem.gradient(x.copy())):  # memo hit, then miss
         assert frobenius_norm(grad + 2.0 * ax) <= 1e-13 * frobenius_norm(2.0 * ax)
         assert grad.flags.c_contiguous
         assert grad.tobytes() == (-2.0 * problem._times_a(x)).tobytes()
+
+
+@pytest.mark.parametrize("n, p", [(60, 4), (1000, 40)])
+def test_eig_product_keeps_the_transposed_orientation_off_the_panel_shapes(n, p):
+    # A small A (one panel would be all of it) and a wide X (p > 20) keep
+    # (X^T A)^T to the bit: row panels were timed slower there.
+    problem = EigProblem.generate(n, p, with_oracle=False, seed=5)
+    x = StiefelPoint(random_orthonormal(n, p, 5)).x
+    assert problem._times_a(x).tobytes() == (x.T @ problem.a).T.tobytes()
 
 
 def test_eig_gradient_matches_oracle():

@@ -120,6 +120,7 @@ def test_step_matches_the_literal_iteration(case):
 @example(shape=(16, 12), seed=0)
 @example(shape=(9, 3), seed=0)
 @example(shape=(12, 1), seed=0)
+@example(shape=(300, 12), seed=0)  # row panels of 277 and 23 rows
 def test_eig_step_matches_the_literal_iteration_at_drawn_shapes(shape, seed):
     problem, x0 = EigProblem.generate(*shape, seed=seed), random_orthonormal(*shape, seed)
     _check_steps(StiefelSolver(max_iters=6, mode="monotone"), problem, x0)

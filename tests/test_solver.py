@@ -649,32 +649,36 @@ def test_gradient_is_asked_only_at_the_array_just_valued(mode):
 
 
 class _CountingMatrix(np.ndarray):
-    """A matrix that counts the products taken with it."""
+    """A matrix that counts the rows of it that products multiply: all of them
+    in ``X^T @ A``, each panel's in a batched ``np.matmul(A[:k].reshape(-1, r, n), X)``."""
 
-    products = 0
+    rows = 0
 
-    def __matmul__(self, other):
-        type(self).products += 1
-        return np.matmul(self.view(np.ndarray), other)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        plain = lambda v: v.view(np.ndarray) if isinstance(v, _CountingMatrix) else v
+        if ufunc is np.matmul:
+            counted = [v for v in inputs if isinstance(v, _CountingMatrix)]
+            type(self).rows += sum(v.size // v.shape[-1] for v in counted)
+        if out:
+            kwargs["out"] = tuple(map(plain, out))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
 
-    def __rmatmul__(self, other):
-        type(self).products += 1
-        return np.matmul(other, self.view(np.ndarray))
 
-
-def test_eig_solve_takes_one_product_with_a_per_iterate(monkeypatch):
+# St(60, 4) takes (X^T A)^T; St(300, 12) takes row panels of 277 and 23 rows.
+@pytest.mark.parametrize("n, p", [(60, 4), (300, 12)])
+def test_eig_solve_takes_one_product_with_a_per_iterate(monkeypatch, n, p):
     # The gradient reuses the A @ X its value just formed, and a search's
     # later trials are valued along the curve from that A @ X and the first
-    # trial's A @ Z, so a solve costs nge products with A, not nfe + nge.
+    # trial's A @ Z, so a solve multiplies all n rows of A nge times, not nfe + nge.
     rng = as_generator(2)
-    problem = EigProblem.generate(60, 4, rng=rng)
-    x0 = random_orthonormal(60, 4, rng)
-    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    problem = EigProblem.generate(n, p, rng=rng)
+    x0 = random_orthonormal(n, p, rng)
+    monkeypatch.setattr(_CountingMatrix, "rows", 0)
     problem.a = problem.a.view(_CountingMatrix)
     report = StiefelSolver(mode="monotone", step_init="bb").solve(problem, x0)
     assert report.converged
     assert report.nfe > report.nge  # some search backtracked
-    assert _CountingMatrix.products == report.nge
+    assert _CountingMatrix.rows == report.nge * n
     assert problem._memo is None  # no trial outlives its gradient in the memo
 
 
