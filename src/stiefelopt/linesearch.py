@@ -30,13 +30,13 @@ BB_DENOM_TOL = 1e-30
 
 #: A trial is valued along the curve only while the steps ``X - tau H`` of
 #: both it and the trial the curve starts from have condition number at most
-#: this, measured as that of the ``p x p`` factor ``Z^T (X - tau H)`` (see
-#: :func:`_curve`); otherwise it takes its own product.  The curve's rounding
-#: grows with it: over 18000 drawn eig searches, St(2, 2) to St(200, 10), its
-#: ``A Z`` stayed within 4.3e-15 relative of the direct product below 10, and
-#: reached 1.6e-14 below 1e2 and 6.4e-14 below 1e3.  The largest errors came
-#: from St(2, 2), whose objective is constant, so that its direction is
-#: rounding noise and far from tangent.
+#: this, by the bound :func:`retract` returns (see :func:`_curve`); otherwise
+#: it takes its own product.  The curve's rounding grows with it: over 18000
+#: drawn eig searches, St(2, 2) to St(200, 10), its ``A Z`` stayed within
+#: 1.6e-15 relative of the direct product below 10, and reached 8.7e-15 below
+#: 1e2 and 2.1e-14 below 1e3.  The largest errors came from St(2, 2) and
+#: St(3, 3), whose objective is constant, so that the direction is rounding
+#: noise and far from tangent.
 CURVE_MAX_COND = 10.0
 
 
@@ -124,28 +124,21 @@ class LineSearchResult:
     accepted: bool
 
 
-def _curve(objective, point: StiefelPoint, direction, tau1: float, z1: np.ndarray):
-    """The function ``(tau, Z) -> F(Z)`` that values the trials after a
-    rejected trial ``z1 = Z(tau1)`` without a product with ``A``, or returns
-    None for a trial whose step is conditioned past :data:`CURVE_MAX_COND`.
-    None itself when ``objective`` keeps no products (only
-    :class:`~stiefelopt.EigProblem` does) or ``z1``'s step is conditioned
-    past that bound.
+def _curve(objective, point: StiefelPoint, tau1: float, z1: np.ndarray, w1: np.ndarray):
+    """The function ``(tau, Z, W) -> F(Z)`` that values the trials after a
+    rejected trial ``z1 = Z(tau1)`` without a product with ``A``, or None
+    when ``objective`` keeps no products (only :class:`~stiefelopt.EigProblem`
+    does).  Each ``W`` is the factor :func:`retract` returned with its ``Z``.
 
-    ``A`` is linear, so along ``step(tau) = X - tau*H``::
+    ``A`` is linear and ``Z = step W`` along ``step(tau) = X - tau*H``, so::
 
-        A step(tau) = (1 - s) A X + s A step(tau1),    s = tau / tau1,
+        A Z = ((1 - s) A X + s A step(tau1)) W,    s = tau / tau1,
 
-    and the projection is ``Z = step W`` for a ``p x p`` factor ``W``, so
-    ``A Z = A step(tau) W``.  Both factors are recovered by least squares
-    from the formed step and the certified candidate, which need not be
-    orthonormal to the last bit: ``A step(tau1) = A Z1 (Z1^T Z1)^-1 M1`` once
-    and ``W = M^-1 Z^T Z`` per trial, with ``M = Z^T step``, each
-    ``O(n p^2 + p^3)``.  Their rounding grows with the condition number of
-    ``M``, which is that of ``step``: at most ``sqrt(1 + tau^2 ||H||_2^2)``
-    and shrinking with ``tau`` for tangent ``H``, but unbounded for a
-    direction that is tangent only to within rounding larger than itself,
-    as at a stationary point, so each trial measures its own.
+    with ``A step(tau1) = A Z1 W1^-1`` once, in ``O(n p^2)`` per trial.  Its
+    rounding grows with the step's condition number, at most
+    ``sqrt(1 + tau^2 ||H||_2^2)`` for tangent ``H`` but unbounded for a
+    direction tangent only to within rounding larger than itself, as at a
+    stationary point: see :data:`CURVE_MAX_COND`.
     """
     product = getattr(objective, "_product", None)
     if product is None:
@@ -153,19 +146,11 @@ def _curve(objective, point: StiefelPoint, direction, tau1: float, z1: np.ndarra
     ax, az1 = product(point.x), product(z1)
     if ax is None or az1 is None:
         return None
-    h = np.asarray(direction, dtype=np.float64)
-    m1 = z1.T @ (point.x - tau1 * h)
-    if not np.linalg.cond(m1) <= CURVE_MAX_COND:
-        return None
-    a_step1 = az1 @ np.linalg.solve(z1.T @ z1, m1)
+    a_step1 = np.linalg.solve(w1.T, az1.T).T
 
-    def value(tau: float, z: np.ndarray) -> float | None:
-        m = z.T @ (point.x - tau * h)
-        if not np.linalg.cond(m) <= CURVE_MAX_COND:
-            return None
+    def value(tau: float, z: np.ndarray, w: np.ndarray) -> float:
         s = tau / tau1
-        a_step = (1.0 - s) * ax + s * a_step1
-        return objective._value_from(z, a_step @ np.linalg.solve(m, z.T @ z))
+        return objective._value_from(z, ((1.0 - s) * ax + s * a_step1) @ w)
 
     return value
 
@@ -237,11 +222,10 @@ def backtrack(
     best: LineSearchResult | None = None
     curve = None
     while True:
-        candidate, fastpath = retract(point, direction, tau)
-        f_val = None if curve is None else curve(tau, candidate.x)
-        direct = f_val is None
-        if direct:
-            f_val = float(objective.value(candidate.x))
+        candidate, fastpath, w, cond = retract(point, direction, tau)
+        conditioned = cond <= CURVE_MAX_COND  # false after the SVD rescue, whose w is None
+        direct = curve is None or not conditioned
+        f_val = float(objective.value(candidate.x)) if direct else curve(tau, candidate.x, w)
         nfe += 1
         if f_val < c_ref + rho1 * tau * slope:
             return LineSearchResult(
@@ -258,5 +242,5 @@ def backtrack(
         if nfe > max_halvings:
             return replace(best, nfe=nfe)
         if direct:
-            curve = _curve(objective, point, direction, tau, candidate.x)
+            curve = _curve(objective, point, tau, candidate.x, w) if conditioned else None
         tau *= delta

@@ -8,6 +8,7 @@ feasibility at construction, so infeasible iterates cannot circulate.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -172,7 +173,9 @@ def _inverse_sqrt_series(e: np.ndarray, degree: int) -> np.ndarray:
     return w
 
 
-def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, bool]:
+def retract(
+    point: StiefelPoint, direction, tau: float
+) -> tuple[StiefelPoint, bool, np.ndarray | None, float]:
     """Feasible curve step ``Z(tau) = proj(X - tau * H)`` with a cheap fast path.
 
     The projection is the polar factor ``step (step^T step)^(-1/2)`` of
@@ -211,9 +214,13 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
 
     Returns
     -------
-    (StiefelPoint, bool)
-        The new point and whether the fast path was taken, a ``bool``: true
-        when the series was chosen or ``tau = 0``.
+    (StiefelPoint, bool, numpy.ndarray or None, float)
+        The new point; whether the fast path was taken (a ``bool``, true when
+        the series was chosen or ``tau = 0``); the ``p x p`` factor ``W`` with
+        ``point = step @ W``, ``p_d(E)`` or ``V diag(lam^(-1/2)) V^T``; and a
+        bound on the condition number of ``step`` from its Gram matrix,
+        ``sqrt((1 + ||E||_F) / (1 - ||E||_F))`` or ``sqrt(lam_max / lam_min)``.
+        The last two are ``(None, inf)`` after the SVD rescue and at ``tau = 0``.
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
@@ -226,7 +233,7 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
             "retract called with a non-tangent direction"
         )
     if tau == 0.0:
-        return point, True
+        return point, True, None, math.inf
     x = point.x
     step = tau * h
     np.subtract(x, step, out=step)  # X - tau*H with one n x p array
@@ -238,19 +245,22 @@ def retract(point: StiefelPoint, direction, tau: float) -> tuple[StiefelPoint, b
         degree, bound = 1, e_norm * e_norm
         while bound > SERIES_TOL:
             degree, bound = degree + 1, bound * e_norm
-        candidate = step @ _inverse_sqrt_series(e, degree)
+        w = _inverse_sqrt_series(e, degree)
+        cond = math.sqrt((1.0 + e_norm) / (1.0 - e_norm))
     else:
         # For tangent H the Gram matrix is I + tau^2 H^T H >= I, so lam[0] < 1/2
         # means rounding has swamped its small eigenvalues and lam^(-1/2)
         # would be wrong.
         e.flat[:: e.shape[0] + 1] += 1.0
         lam, v = np.linalg.eigh(e)
-        candidate = step @ ((v * lam**-0.5) @ v.T) if lam[0] >= 0.5 else None
-    if candidate is not None:
+        w = (v * lam**-0.5) @ v.T if lam[0] >= 0.5 else None
+        cond = math.sqrt(lam[-1] / lam[0]) if w is not None else math.inf
+    if w is not None:
+        candidate = step @ w
         feas = feasibility_error(candidate)
         if feas <= FEASIBILITY_TOL:
-            return StiefelPoint._fresh(candidate, feas), series
+            return StiefelPoint._fresh(candidate, feas), series, w, cond
     # Certified rescue of a refused candidate: at large tau*||H|| the rounding
     # in V, about eps * lam_max / gap, spoils its small singular directions.
     u, _, v = thin_svd(step)
-    return StiefelPoint(u @ v.T), False
+    return StiefelPoint(u @ v.T), False, None, math.inf

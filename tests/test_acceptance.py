@@ -221,8 +221,8 @@ def test_criterion_03_certified_descent_bound():
             assert dd <= -0.5 * alpha * frobenius_norm(skew_factor(point, grad)) ** 2 + 1e-10
             h = mixed_direction(split, alpha, beta)
             tau = 1e-6
-            forward, _ = retract(point, h, tau)
-            backward, _ = retract(point, -h, tau)
+            forward, *_ = retract(point, h, tau)
+            backward, *_ = retract(point, -h, tau)
             fd = (objective.value(forward.x) - objective.value(backward.x)) / (2 * tau)
             assert abs(fd - dd) <= 1e-4 * abs(dd)
             worst_rel = max(worst_rel, abs(fd - dd) / abs(dd))
@@ -256,7 +256,7 @@ def test_criterion_04_retraction_series_order():
                 expected = 2.0 ** (2 * degree + 2)
                 assert expected / np.sqrt(2) <= ratio <= expected * np.sqrt(2)
                 seen.append(np.log2(ratio))
-            new, fast = retract(point, h, tau0)
+            new, fast, *_ = retract(point, h, tau0)
             assert fast
             assert np.linalg.norm(new.x - project(point.x - tau0 * h).x) <= 1e-13
         return ", ".join(

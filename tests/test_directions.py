@@ -239,8 +239,8 @@ def test_descent_derivative_matches_finite_difference_along_curve():
         h = mixed_direction(split, alpha, beta)
         dd = descent_derivative(split, alpha, beta)
         tau = 1e-6
-        forward, _ = retract(point, h, tau)
-        backward, _ = retract(point, -h, tau)
+        forward, *_ = retract(point, h, tau)
+        backward, *_ = retract(point, -h, tau)
         fd = (objective.value(forward.x) - objective.value(backward.x)) / (2.0 * tau)
         assert fd == pytest.approx(dd, rel=1e-7, abs=1e-10)
 

@@ -333,12 +333,26 @@ def test_eig_curve_values_match_the_direct_product(shape, seed, stretch, mix, mo
 # tau ||H||_F = t has condition number between sqrt(1 + t^2 / 4) and
 # sqrt(1 + t^2): past CURVE_MAX_COND = 10 at t = 100 and 30, which take their
 # own products, and within it from t = 9 on, where the curve takes over.
-@pytest.mark.parametrize("stretch, direct", [(3.0, 1), (100.0, 3)])
-def test_eig_backtrack_takes_products_until_the_curve_is_conditioned(stretch, direct):
+# At St(3, 3) the objective is constant and the direction is rounding noise,
+# far from tangent, so a trial's step can be conditioned past the bound
+# although the step the curve starts from is not: 9 of its 10 trials take
+# their own products, against 5 if each trial were not checked.
+@pytest.mark.parametrize(
+    "shape, seed, stretch, mix, rho1, direct",
+    [
+        ((16, 12), 0, 3.0, (0.0, 1.0), 0.9, 1),
+        ((16, 12), 0, 100.0, (0.0, 1.0), 0.9, 3),
+        ((3, 3), 25942, 10410.615834562052, (0.0, 1.0), 0.9, 9),
+    ],
+    ids=["3.0-1", "100.0-3", "3x3-25942"],
+)
+def test_eig_backtrack_takes_products_until_the_curve_is_conditioned(
+    shape, seed, stretch, mix, rho1, direct
+):
     assert CURVE_MAX_COND == 10
-    problem, point, direction, slope, c_ref = _eig_search((16, 12), 0, (0.0, 1.0), "monotone")
+    problem, point, direction, slope, c_ref = _eig_search(shape, seed, mix, "monotone")
     tau0 = stretch / frobenius_norm(direction)
     products = problem.products
-    result = backtrack(problem, point, direction, slope, tau0, c_ref, rho1=0.9)
+    result = backtrack(problem, point, direction, slope, tau0, c_ref, rho1=rho1)
     assert result.accepted and result.nfe > direct
     assert problem.products - products == direct

@@ -179,7 +179,7 @@ def test_retract_hand_case_falls_back_to_projection():
     h = np.array([[0.0], [1.0]])
     for tau, series in [(0.1, True), (0.3, False)]:
         assert (tau * tau < SERIES_CUTOFF) == series
-        new, fast = retract(point, h, tau)
+        new, fast, *_ = retract(point, h, tau)
         assert fast == series
         expected = np.array([[1.0], [-tau]]) / np.sqrt(1.0 + tau * tau)
         npt.assert_allclose(new.x, expected, atol=1e-14)
@@ -187,8 +187,9 @@ def test_retract_hand_case_falls_back_to_projection():
 
 def test_retract_zero_step_returns_same_point():
     point = StiefelPoint(random_orthonormal(5, 2, 6))
-    new, fast = retract(point, np.zeros((5, 2)), 0.0)
+    new, fast, w, cond = retract(point, np.zeros((5, 2)), 0.0)
     assert new is point and fast
+    assert (w, cond) == (None, np.inf)
 
 
 def test_retract_fast_path_fires_for_tiny_steps():
@@ -198,7 +199,7 @@ def test_retract_fast_path_fires_for_tiny_steps():
     point = StiefelPoint(random_orthonormal(9, 3, rng))
     h = _random_tangent(point, rng)
     h /= np.linalg.norm(h)
-    new, fast = retract(point, h, 1e-5)
+    new, fast, *_ = retract(point, h, 1e-5)
     assert fast
     assert new.feasibility < 1e-13
     exact = project(point.x - 1e-5 * h).x
@@ -228,7 +229,7 @@ def test_retract_series_and_projection_agree_to_its_order():
         for degree in (1, 2, 3):
             ratio = np.log2(gap(tau0, degree) / gap(0.5 * tau0, degree))
             assert abs(ratio - (2 * degree + 2)) <= 0.5
-        new, fast = retract(point, h, tau0)
+        new, fast, *_ = retract(point, h, tau0)
         assert fast
         npt.assert_allclose(new.x, project(point.x - tau0 * h).x, rtol=0, atol=1e-13)
 
@@ -265,7 +266,7 @@ def test_retract_series_corrects_the_drift_of_its_start():
     assert 4e-13 <= point.feasibility <= 6e-13
     h = _random_tangent(point, rng)
     h /= np.linalg.norm(h)
-    new, fast = retract(point, h, 1e-9)
+    new, fast, *_ = retract(point, h, 1e-9)
     assert fast
     assert new.feasibility <= 1e-14
     npt.assert_allclose(new.x, project(point.x - 1e-9 * h).x, rtol=0, atol=1e-14)
@@ -274,12 +275,13 @@ def test_retract_series_corrects_the_drift_of_its_start():
 def test_retract_takes_the_polar_factor_at_huge_steps():
     # X - tau*H has singular values sqrt(1 + tau^2) and 1, so a relative
     # rank threshold of 1e-12 would call it deficient at tau = 1e13; its
-    # polar factor is still unique and feasible.
+    # polar factor is still unique and feasible, and the closed form, not
+    # the SVD rescue, gives it, with condition bound 1e13.
     point = StiefelPoint(np.eye(3, 2))
     h = np.zeros((3, 2))
     h[2, 0] = 1.0
-    new, fast = retract(point, h, 1e13)
-    assert not fast
+    new, fast, w, cond = retract(point, h, 1e13)
+    assert not fast and w is not None and cond == pytest.approx(1e13, rel=1e-12)
     npt.assert_allclose(new.x, [[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
     assert feasibility_error(new.x) <= FEASIBILITY_TOL
 
@@ -317,7 +319,7 @@ def _assert_certified_and_owned(point: StiefelPoint):
 @given(_tangent_steps())
 def test_retract_always_returns_a_certified_point(case):
     point, h, tau = case
-    new, _ = retract(point, h, tau)
+    new, *_ = retract(point, h, tau)
     assert new.shape == point.shape
     _assert_certified_and_owned(new)
 
@@ -325,7 +327,11 @@ def test_retract_always_returns_a_certified_point(case):
 @pytest.mark.parametrize("branch", ["series", "polar", "svd"])
 def test_each_retract_branch_returns_a_certified_owned_point(branch, monkeypatch):
     # The series and polar candidates are certified in place, the SVD
-    # rescue's result is copied; every branch hands back the same kind of array.
+    # rescue's result is copied; every branch hands back the same kind of
+    # array.  The series and polar branches also return the factor W that
+    # made the point from the step, and a bound on the step's condition
+    # number; the rescue has neither.  The fast-path flag is a bool, which
+    # the benchmark's tracer counts by identity.
     svd_calls = []
 
     def counting(x):
@@ -339,10 +345,16 @@ def test_each_retract_branch_returns_a_certified_owned_point(branch, monkeypatch
     h = point.x @ (s - s.T)
     h /= np.linalg.norm(h)
     tau = {"series": 1e-3, "polar": 1.0, "svd": 1e11}[branch]
-    new, fast = retract(point, h, tau)
-    assert fast == (branch == "series")
+    new, fast, w, cond = retract(point, h, tau)
+    assert type(fast) is bool and fast == (branch == "series")
     assert len(svd_calls) == (branch == "svd")
     _assert_certified_and_owned(new)
+    step = point.x - tau * h
+    if branch == "svd":
+        assert (w, cond) == (None, np.inf)
+    else:
+        assert new.x.tobytes() == (step @ w).tobytes()
+        assert cond >= np.linalg.cond(step) * (1 - 1e-12)
 
 
 @st.composite
@@ -372,7 +384,7 @@ def test_retract_exact_branch_is_the_projection(case):
     # the rounded step itself moves by about 1e-16 * tau*||H||, so there the
     # two routes may differ by that.)
     point, h, tau = case
-    new, _ = retract(point, h, tau)
+    new, *_ = retract(point, h, tau)
     npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
     assert new.feasibility <= FEASIBILITY_TOL
 
@@ -389,7 +401,7 @@ def test_chained_exact_retractions_do_not_drift(n, p):
     for _ in range(200):
         h = _random_tangent(point, rng)
         tau = 10.0 ** rng.uniform(-0.5, 1.0) / np.sqrt(np.linalg.norm(h.T @ h))
-        point, fast = retract(point, h, tau)
+        point, fast, *_ = retract(point, h, tau)
         assert not fast
         assert point.feasibility <= 1e-13
 
@@ -404,7 +416,7 @@ def test_chained_series_retractions_do_not_drift(n, p):
     for _ in range(200):
         h = _random_tangent(point, rng)
         tau = np.sqrt(10.0 ** rng.uniform(-8.0, np.log10(0.03)) / np.linalg.norm(h.T @ h))
-        point, fast = retract(point, h, tau)
+        point, fast, *_ = retract(point, h, tau)
         assert fast
         assert feasibility_error(point.x) <= 1e-13
 
@@ -425,7 +437,7 @@ def test_retract_rescues_with_the_svd_when_the_closed_form_fails(monkeypatch):
     s = rng.standard_normal((3, 3))
     h = point.x @ (s - s.T)
     tau = 1e11 / np.linalg.norm(h)
-    new, fast = retract(point, h, tau)
+    new, fast, *_ = retract(point, h, tau)
     assert not fast and len(calls) == 1
     assert feasibility_error(new.x) <= FEASIBILITY_TOL
     npt.assert_allclose(new.x, project(point.x - tau * h).x, rtol=0, atol=1e-12)
@@ -458,7 +470,7 @@ def test_retract_certifies_either_candidate_once(scale, monkeypatch):
     )
     monkeypatch.setattr(stiefelopt.manifold.np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(stiefelopt.manifold, "thin_svd", counting_svd)
-    new, fast = retract(point, h, 1e-3)
+    new, fast, *_ = retract(point, h, 1e-3)
     assert calls["eigh"] == 0
     if scale < 1.0 + 1e-12:
         assert fast is True and calls["svd"] == 0
@@ -486,7 +498,7 @@ def test_exact_branch_eigendecomposes_the_steps_gram_matrix(monkeypatch):
     for h in (_random_tangent(point, rng), k - point.x @ (point.x.T @ k)):  # generic, rank 1
         tau = 3.0 / np.linalg.norm(h)
         seen.clear()
-        _, fast = retract(point, h, tau)
+        _, fast, *_ = retract(point, h, tau)
         assert not fast and len(seen) == 1
         step = point.x - tau * h
         gram = step.T @ step
@@ -524,7 +536,7 @@ def test_retract_needs_no_svd_rescue_up_to_ten(monkeypatch):
         norm = np.linalg.norm(h)
         if norm == 0.0:
             continue
-        new, _ = retract(point, h, 10.0 ** rng.uniform(-2.0, 1.0) / norm)
+        new, *_ = retract(point, h, 10.0 ** rng.uniform(-2.0, 1.0) / norm)
         assert new.feasibility <= FEASIBILITY_TOL
     assert not rescues
 
@@ -541,7 +553,7 @@ def test_retract_survives_a_gram_matrix_swamped_by_rounding():
     tau = 1.26e14 / np.linalg.norm(h)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        new, fast = retract(point, h, tau)
+        new, fast, *_ = retract(point, h, tau)
     assert not fast
     _assert_certified_and_owned(new)
 
