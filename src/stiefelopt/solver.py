@@ -102,9 +102,6 @@ _SUCCESS = frozenset(
 #: ``NoProgress``; steps that make progress read 4e-9 and up in the tests.
 _ROUNDING_RELX = 1e-12
 
-#: ``(k, tau, relx, relf, fastpath, nfe)`` of history row 0: no step, one evaluation.
-_START = (0, math.nan, math.nan, math.nan, None, 1)
-
 
 @dataclass
 class IterationRecord:
@@ -229,13 +226,12 @@ def stopping_check(
 
 
 class _Iterate(NamedTuple):
-    """The solve's state at ``X_k``: the point and its value, the gradient
-    split and mixed direction there, the acceptance reference, the BB pair
-    ``(S, R)`` of the step into ``X_k`` (``None`` at ``X_0``) and its history
-    row.  Frozen, and a tuple because one is built per iteration."""
+    """The solve's state at ``X_k``: the point, the gradient split and mixed
+    direction there, the acceptance reference, the BB pair ``(S, R)`` of the
+    step into ``X_k`` (``None`` at ``X_0``) and its history row, which holds
+    its value.  Frozen, and a tuple because one is built per iteration."""
 
     point: StiefelPoint
-    fval: float
     split: GradientSplit
     direction: np.ndarray
     state: NonmonotoneState
@@ -418,7 +414,9 @@ class StiefelSolver:
 
         start = time.perf_counter()
         f_val = float(objective.value(point.x))
-        it = self._arrive(objective, point, f_val, NonmonotoneState(q=1.0, c=f_val))
+        # Row 0: no step, one evaluation.
+        it = self._arrive(objective, point, f_val, NonmonotoneState(q=1.0, c=f_val), k=0,
+                          tau=math.nan, relx=math.nan, relf=math.nan, fastpath=None, nfe=1)
         history: list[IterationRecord] = []
         nfe = 1
         while True:
@@ -441,14 +439,15 @@ class StiefelSolver:
             it = outcome
 
         elapsed = time.perf_counter() - start
+        last = history[-1]
         return SolverReport(
-            nitr=it.record.k,
+            nitr=last.k,
             nfe=nfe,
             nge=len(history),  # one gradient per row
             time_s=elapsed,
-            fval=it.fval,
-            nrmg=it.split.canonical_norm,
-            feasi=it.point.feasibility,
+            fval=last.fval,
+            nrmg=last.nrmg,
+            feasi=last.feasibility,
             termination=outcome,
             x=it.point.x,
             history=history,
@@ -497,14 +496,16 @@ class StiefelSolver:
             return Termination.NO_PROGRESS, ls.nfe
         eta = 0.0 if self.mode == "monotone" else self.eta
         state = nonmonotone_update(it.state, ls.value, eta)
-        relf = abs(it.fval - ls.value) / (abs(it.fval) + 1.0)
-        row = (it.record.k + 1, ls.tau, relx, relf, ls.fastpath, ls.nfe)
-        return self._arrive(objective, ls.point, ls.value, state, it, step, row), ls.nfe
+        relf = abs(it.record.fval - ls.value) / (abs(it.record.fval) + 1.0)
+        nxt = self._arrive(objective, ls.point, ls.value, state, it, step, k=it.record.k + 1,
+                           tau=ls.tau, relx=relx, relf=relf, fastpath=ls.fastpath, nfe=ls.nfe)
+        return nxt, ls.nfe
 
-    def _arrive(self, objective, point, fval, state, prev=None, step=None, row=_START) -> _Iterate:
+    def _arrive(self, objective, point, fval, state, prev=None, step=None, **row) -> _Iterate:
         """The iterate at ``point``, valued ``fval``, reached from ``prev`` by
         ``step`` (``None`` at ``X_0``), with its split, direction, BB pair and
-        the history row whose ``(k, tau, relx, relf, fastpath, nfe)`` is ``row``."""
+        history row, whose step fields (``k``, ``tau``, ``relx``, ``relf``,
+        ``fastpath``, ``nfe``) are the keywords ``row``."""
         split = gradient_split(point, objective.gradient(point.x))
         direction = _mix(split, self.alpha, self.beta)
         if prev is None:
@@ -513,18 +514,6 @@ class StiefelSolver:
             bb_pair = (step, split.canonical - prev.split.canonical)
         else:
             bb_pair = (step, direction - prev.direction)
-        k, tau, relx, relf, fastpath, nfe = row
-        record = IterationRecord(
-            k=k,
-            fval=fval,
-            nrmg=split.canonical_norm,
-            tau=tau,
-            cval=state.c,
-            relx=relx,
-            relf=relf,
-            fastpath=fastpath,
-            feasibility=point.feasibility,
-            skew_norm=split.skew_norm,
-            nfe=nfe,
-        )
-        return _Iterate(point, fval, split, direction, state, bb_pair, record)
+        record = IterationRecord(fval=fval, nrmg=split.canonical_norm, cval=state.c,
+                                 feasibility=point.feasibility, skew_norm=split.skew_norm, **row)
+        return _Iterate(point, split, direction, state, bb_pair, record)

@@ -91,6 +91,7 @@ def test_runs_table_and_summary_runs_are_one_schema(tmp_path):
     header, rows = _read_csv(tmp_path / "out" / "runs.csv")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert header == RUN_COLUMNS
+    assert [list(run) for run in summary["runs"]] == [header] * len(rows)
     assert rows == [[_fmt(run[col]) for col in header] for run in summary["runs"]]
 
 
@@ -125,6 +126,11 @@ def test_run_error_column_by_family(tmp_path):
                  "--out", str(tmp_path / "eig")]) == 0
     header, rows = _read_csv(tmp_path / "eig" / "runs.csv")
     assert float(rows[0][header.index("error")]) >= 0.0  # eigenvalue relative error
+    # The error is the final iterate's: both runs reach the oracle's eigenvalue sum.
+    assert main(["run", "--family", "eig", "--n", "40", "--p", "4", "--mode", "monotone",
+                 "--sims", "2", "--out", str(tmp_path / "eig40")]) == 0
+    runs = json.loads((tmp_path / "eig40" / "summary.json").read_text())["runs"]
+    assert len(runs) == 2 and all(run["converged"] and run["error"] <= 1e-6 for run in runs)
     assert main(["run", "--family", "energy", "--n", "20", "--p", "3", "--sims", "1",
                  "--out", str(tmp_path / "energy")]) == 0
     header, rows = _read_csv(tmp_path / "energy" / "runs.csv")
@@ -132,8 +138,15 @@ def test_run_error_column_by_family(tmp_path):
 
 
 def test_run_exit_code_flags_nonconvergence(tmp_path):
-    code = main(_run_args(tmp_path, "--max-iters", "1"))
-    assert code == 1
+    # The iteration cap, and a line search that fails: an outcome, counted like any other.
+    capped = main(_run_args(tmp_path, "--max-iters", "1"))
+    failed = main(_run_args(tmp_path, "--step-init", "fixed", "--tau0", "1e12", "--max-halvings",
+                            "1", "--sims", "2", "--out", str(tmp_path / "failed")))
+    assert (capped, failed) == (1, 1)
+    runs = json.loads((tmp_path / "failed" / "summary.json").read_text())["runs"]
+    assert len(runs) == 2
+    assert all((run["termination"], run["nitr"], run["nfe"]) == ("LineSearchFailed", 0, 3)
+               for run in runs)
 
 
 # -- the acceptance rule as a grid axis ------------------------------------------------
@@ -319,6 +332,7 @@ def test_vary_axes_cross_with_the_first_outermost(tmp_path):
         [mode, alpha, beta, sim] for mode in ("monotone", "nonmonotone")
         for alpha, beta in (("0.5", "0.5"), ("1.0", "0.0")) for sim in ("0", "1")
     ]
+    assert all(float(r[header.index("error")]) <= 1e-8 for r in rows)  # the planted optimum
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["vary"] == [{"mode": ["monotone", "nonmonotone"]},
                                          {"alpha": [0.5, 1.0], "beta": [0.5, 0.0]}]
@@ -413,7 +427,7 @@ _GRIDS = {
 
 
 @pytest.mark.parametrize("command, keys", _GRIDS.values(), ids=list(_GRIDS))
-def test_every_subcommand_writes_the_same_files_and_columns(tmp_path, command, keys):
+def test_every_grid_writes_the_same_files_and_columns(tmp_path, command, keys):
     out = tmp_path / "out"
     assert main(["run", *command, *_WOPP_SETTINGS, "--out", str(out)]) == 0
     assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "runs.csv", "summary.json"]
@@ -536,6 +550,8 @@ _BAD_SETTINGS = {
                                              "got ['sims']"),
     "vary-unknown-key": ({"vary": [{"bogus": [1]}]}, "solver settings, each on one axis, "
                                                      "got ['bogus']"),
+    "flags-vary-unknown-key": (("--vary", "bogus=1,2"), "solver settings, each on one axis, "
+                                                        "got ['bogus']"),
     "vary-key-twice": (("--vary", "alpha=0.5,1", "--vary", "alpha=0.25"),
                        "each on one axis, got ['alpha']"),
     "vary-key-twice-config": ({"vary": [{"alpha": [0.5, 1], "beta": [0.5, 0]},
@@ -669,7 +685,7 @@ def test_config_file_and_flags_share_one_declaration(tmp_path):
     assert from_file[1]["solver_params"]["tau0"] == 1.0
 
 
-def test_each_subcommand_has_a_config_key_for_each_flag_and_no_other(tmp_path, monkeypatch):
+def test_each_setting_is_one_flag_and_one_config_key(tmp_path, monkeypatch):
     # Every flag's dest, per subcommand (run is the only one), from the parsed
     # arguments main hands on.
     resolve, dests = cli._resolve_config, {}

@@ -325,7 +325,9 @@ def test_solve_report_bookkeeping():
     assert report.converged
     assert report.nge == report.nitr + 1
     assert report.nfe == sum(row.nfe for row in report.history)
-    assert report.fval == report.history[-1].fval
+    last = report.history[-1]
+    assert report.fval == last.fval
+    assert (report.nitr, report.nrmg, report.feasi) == (last.k, last.nrmg, last.feasibility)
     assert report.feasi <= 1e-12
     data = report.to_dict()
     assert data["termination"] == str(report.termination)
