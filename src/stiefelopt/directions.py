@@ -25,7 +25,7 @@ import numpy as np
 from .linalg import as_matrix, frobenius_norm
 from .manifold import StiefelPoint
 
-__all__ = ["GradientSplit", "gradient_split", "mixed_direction", "descent_derivative"]
+__all__ = ["GradientSplit", "gradient_split", "descent_derivative"]
 
 
 @dataclass(frozen=True)
@@ -85,27 +85,14 @@ def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
 
 
 def _mix(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
-    """The mixed direction's one formula, unchecked: the solver calls it
-    directly to admit the sweep setting ``alpha = 0``.  Accumulating in place
-    holds two ``n x p`` temporaries instead of three, with the bits of
-    ``alpha * canonical + beta * complement``."""
+    """The mixed direction ``H = alpha*canonical + beta*complement``.
+
+    Unchecked: ``StiefelSolver.validate_params`` checks the weights once, and
+    admits the sweep setting ``alpha = 0``.  Accumulating in place holds two
+    ``n x p`` temporaries instead of three, with the bits of the formula."""
     d = alpha * split.canonical
     d += beta * split.complement
     return d
-
-
-def mixed_direction(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
-    """Descent direction ``H = alpha*canonical + beta*complement``.
-
-    ``alpha > 0`` and ``beta >= 0`` are required: that is the regime with a
-    guaranteed negative directional derivative.  The formula itself is
-    ``_mix``'s, which the solver shares.
-    """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return _mix(split, alpha, beta)
 
 
 def descent_derivative(split: GradientSplit, alpha: float, beta: float) -> float:

@@ -18,7 +18,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +26,8 @@ __all__ = [
     "as_generator",
     "frobenius_inner",
     "frobenius_norm",
-    "ThinSVD",
     "thin_svd",
     "random_orthonormal",
-    "householder_reflector",
 ]
 
 
@@ -93,20 +90,7 @@ def frobenius_norm(a) -> float:
     return math.sqrt(v.dot(v))
 
 
-class ThinSVD(NamedTuple):
-    """Thin singular value decomposition ``X = U @ diag(sigma) @ V.T``.
-
-    ``u`` is ``(n, p)`` with orthonormal columns, ``sigma`` the ``p``
-    singular values in non-increasing order, and ``v`` is ``(p, p)``
-    orthogonal.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-def thin_svd(x) -> ThinSVD:
+def thin_svd(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of a tall (or square) matrix.
 
     Parameters
@@ -116,15 +100,17 @@ def thin_svd(x) -> ThinSVD:
 
     Returns
     -------
-    ThinSVD
-        Factors satisfying ``u @ np.diag(sigma) @ v.T == x`` to roundoff.
+    u, sigma, v : numpy.ndarray
+        ``u`` is ``(n, p)`` with orthonormal columns, ``sigma`` the ``p``
+        singular values in non-increasing order and ``v`` the ``(p, p)``
+        orthogonal factor, so ``u @ np.diag(sigma) @ v.T == x`` to roundoff.
     """
     x = as_matrix(x, "x")
     n, p = x.shape
     if n < p:
         raise ValueError(f"thin_svd expects rows >= cols, got shape {x.shape}")
     u, sigma, vt = np.linalg.svd(x, full_matrices=False)
-    return ThinSVD(u, sigma, vt.T)
+    return u, sigma, vt.T
 
 
 def random_orthonormal(n: int, p: int, rng=None) -> np.ndarray:
@@ -146,19 +132,3 @@ def random_orthonormal(n: int, p: int, rng=None) -> np.ndarray:
     rng = as_generator(rng)
     u, _, v = thin_svd(rng.standard_normal((n, p)))
     return u @ v.T
-
-
-def householder_reflector(v) -> np.ndarray:
-    """Householder reflection ``I - 2 v v^T / (v^T v)`` for a nonzero vector.
-
-    The result is symmetric and orthogonal.
-    """
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"v must be 1-D, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v contains non-finite entries")
-    vtv = float(v @ v)
-    if vtv == 0.0:
-        raise ValueError("v must be nonzero")
-    return np.eye(v.size) - (2.0 / vtv) * np.outer(v, v)

@@ -27,13 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
-from .linalg import (
-    as_generator,
-    as_matrix,
-    frobenius_norm,
-    householder_reflector,
-    random_orthonormal,
-)
+from .linalg import as_generator, as_matrix, frobenius_norm, random_orthonormal
 
 __all__ = [
     "WoppProblem",
@@ -140,6 +134,13 @@ class _SharedWork:
 # ---------------------------------------------------------------------------
 
 
+def _householder_reflector(v: np.ndarray) -> np.ndarray:
+    """The reflection ``I - 2 v v^T / (v^T v)`` of a nonzero float64 vector:
+    symmetric and orthogonal."""
+    vtv = float(v @ v)
+    return np.eye(v.size) - (2.0 / vtv) * np.outer(v, v)
+
+
 class WoppProblem(_SharedWork):
     """Weighted orthogonal Procrustes: minimize ``0.5 * ||A X C - B||_F^2``.
 
@@ -238,7 +239,7 @@ class WoppProblem(_SharedWork):
         r_orth = random_orthonormal(m, m, rng)
         diag = cls._diagonal(m, ptype, rng)
         a = p_orth @ (diag[:, None] * r_orth.T)
-        q_refl = householder_reflector(rng.standard_normal(n))
+        q_refl = _householder_reflector(rng.standard_normal(n))
         lam = rng.uniform(0.5, 2.0, size=n)
         c = q_refl @ (lam[:, None] * q_refl.T)
         c = 0.5 * (c + c.T)

@@ -46,7 +46,6 @@ __all__ = [
     "IterationRecord",
     "SolverReport",
     "stopping_check",
-    "kkt_residual",
     "StiefelSolver",
 ]
 
@@ -176,18 +175,6 @@ class SolverReport:
         return out
 
 
-def kkt_residual(point_or_x, grad) -> float:
-    """First-order stationarity residual ``||G - X (G^T X)||_F``.
-
-    The norm of the canonical part of :func:`gradient_split`, which is the
-    quantity reported as ``nrmg``; zero exactly where the skew factor
-    ``G X^T - X G^T`` vanishes.  An array ``x`` must be feasible
-    (:class:`FeasibilityError` otherwise).
-    """
-    point = point_or_x if isinstance(point_or_x, StiefelPoint) else StiefelPoint(point_or_x)
-    return gradient_split(point, grad).canonical_norm
-
-
 def stopping_check(
     history: Sequence[IterationRecord],
     *,
@@ -243,7 +230,6 @@ class _Iterate(NamedTuple):
 #: checked by ``solve`` and offered as the CLI's ``choices``.
 PARAM_CHOICES = {
     "mode": ("monotone", "nonmonotone"),
-    "bb_mode": ("alternate", "bb1", "bb2"),
     "step_init": ("fixed", "bb"),
     "bb_gradient": ("canonical", "mixed"),
 }
@@ -284,12 +270,10 @@ class StiefelSolver:
     tau0 : float
         Trial step for iteration 0, and for every iteration when
         ``step_init="fixed"``.
-    bb_mode : {"alternate", "bb1", "bb2"}
-        Which BB formula seeds the backtracking: alternate by iteration
-        parity (even memory index -> bb1), or one of them always.
     step_init : {"bb", "fixed"}
         Trial-step policy after iteration 0, the same in both modes: the
-        clamped BB step of ``bb_mode``, or ``tau0`` again.
+        clamped BB step, BB1 and BB2 alternating by iteration parity (even
+        memory index -> BB1), or ``tau0`` again.
     bb_gradient : {"canonical", "mixed"}
         Whether the BB residual uses the canonical-gradient difference or
         the full mixed-direction difference.
@@ -317,7 +301,6 @@ class StiefelSolver:
     tau_max: float = 1e20
     eta: float = 0.85
     tau0: float = 1e-3
-    bb_mode: str = "alternate"
     step_init: str = "bb"
     bb_gradient: str = "canonical"
     max_halvings: int = 60
@@ -463,13 +446,9 @@ class StiefelSolver:
         if it.bb_pair is None or self.step_init == "fixed":
             tau = self.tau0
         else:
+            # BB1 and BB2 alternate on the memory index k-1.
             bb1, bb2 = bb_steps(*it.bb_pair)
-            if self.bb_mode == "bb1":
-                raw = bb1
-            elif self.bb_mode == "bb2":
-                raw = bb2
-            else:  # alternate on the memory index k-1
-                raw = bb1 if (it.record.k - 1) % 2 == 0 else bb2
+            raw = bb1 if (it.record.k - 1) % 2 == 0 else bb2
             tau = clamp_step(raw, self.tau_min, self.tau_max)
 
         it.record.slope = slope = descent_derivative(it.split, self.alpha, self.beta)

@@ -5,6 +5,7 @@ import argparse
 import csv
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -367,15 +368,15 @@ def test_energy_and_eig_counts_do_not_depend_on_the_mix(tmp_path):
 
 # A grid and the (n, seed) of each instance it builds, in build order.
 _BUILDS = {
-    "compare": (COMPARE, [(12, 7), (12, 8)]),
-    "sweep": (["--vary", "alpha=0,0.5,1", "beta=1,0.5,0"], [(12, 7), (12, 8)]),
+    "mode": (COMPARE, [(12, 7), (12, 8)]),
+    "mix": (["--vary", "alpha=0,0.5,1", "beta=1,0.5,0"], [(12, 7), (12, 8)]),
     # Two instance settings x two modes: each (setting, seed) is built once.
     "instances": (["--vary", "n=12,16", "p=3,4", *COMPARE], [(12, 7), (16, 7), (12, 8), (16, 8)]),
 }
 
 
-@pytest.mark.parametrize("command, builds", _BUILDS.values(), ids=list(_BUILDS))
-def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeypatch, command,
+@pytest.mark.parametrize("grid, builds", _BUILDS.values(), ids=list(_BUILDS))
+def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeypatch, grid,
                                                        builds):
     build, built = cli._build_instance, []
 
@@ -384,7 +385,7 @@ def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeyp
         return build(cfg, seed)
 
     monkeypatch.setattr(cli, "_build_instance", counting)
-    assert main(["run", *command, "--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
+    assert main(["run", *grid, "--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                  "--sims", "2", "--seed", "7", "--out", str(tmp_path / "out")]) == 0
     assert built == builds
     # One echo per instance setting, printed when its first seed is built.
@@ -418,18 +419,18 @@ _WOPP_SETTINGS = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution
 # Each grid (none, the mode axis, the mix axis, the two crossed) and its point keys.
 _GRIDS = {
     "run": ([], []),
-    "compare": (COMPARE, ["mode"]),
-    "sweep": (SWEEP, ["alpha", "beta"]),
+    "mode": (COMPARE, ["mode"]),
+    "mix": (SWEEP, ["alpha", "beta"]),
     "crossed": ([*COMPARE, *SWEEP], ["mode", "alpha", "beta"]),
     # An instance axis inside a solver one: the files still go point by point.
     "instances": ([*COMPARE, "--vary", "n=12,16", "p=3,4"], ["mode", "n", "p"]),
 }
 
 
-@pytest.mark.parametrize("command, keys", _GRIDS.values(), ids=list(_GRIDS))
-def test_every_grid_writes_the_same_files_and_columns(tmp_path, command, keys):
+@pytest.mark.parametrize("grid, keys", _GRIDS.values(), ids=list(_GRIDS))
+def test_every_grid_writes_the_same_files_and_columns(tmp_path, grid, keys):
     out = tmp_path / "out"
-    assert main(["run", *command, *_WOPP_SETTINGS, "--out", str(out)]) == 0
+    assert main(["run", *grid, *_WOPP_SETTINGS, "--out", str(out)]) == 0
     assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "runs.csv", "summary.json"]
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary) == ["config", "solver_params", "points", "runs", "aggregate"]
@@ -445,9 +446,9 @@ def test_every_grid_writes_the_same_files_and_columns(tmp_path, command, keys):
     assert rows == [[_fmt(row[col]) for col in header] for row in summary["aggregate"]]
 
 
-@pytest.mark.parametrize("command", ["compare", "sweep", "crossed", "instances"])
-def test_history_holds_the_first_run_of_each_point(tmp_path, command):
-    args, keys = _GRIDS[command]
+@pytest.mark.parametrize("grid", ["mode", "mix", "crossed", "instances"])
+def test_history_holds_the_first_run_of_each_point(tmp_path, grid):
+    args, keys = _GRIDS[grid]
     out = tmp_path / "out"
     assert main(["run", *args, *_WOPP_SETTINGS, "--history", "--out", str(out)]) == 0
     runs_header, runs = _read_csv(out / "runs.csv")
@@ -544,6 +545,8 @@ _BAD_SETTINGS = {
     "tau0-int-too-large": ({"tau0": 10**400}, "tau0 must be finite"),
     "mu-int-too-large": ({"family": "energy", "mu": 10**400}, "mu must be finite"),
     "run-alphas": ({"alphas": [0.5]}, "unknown config key 'alphas'"),
+    # The BB formula is no setting: BB1 and BB2 alternate by iteration parity.
+    "bb_mode-removed": ({"bb_mode": "bb1"}, "unknown config key 'bb_mode'"),
     # A grid over the run's own keys or unknown ones, a key on two axes, or
     # unequal or empty axes.
     "vary-run-key": (("--vary", "sims=1,2"), "instance and solver settings, each on one axis, "
@@ -670,7 +673,8 @@ def test_config_file_and_flags_share_one_declaration(tmp_path):
     # "tau0": 1 is an int standing for a float, as "--tau0 1" parses to 1.0.
     settings = {
         "family": "wopp", "n": 10, "p": 3, "ptype": 2, "known_solution": True, "sims": 2,
-        "seed": 4, "alpha": 0.5, "beta": 0.5, "tau0": 1, "max_iters": 300, "bb_mode": "bb1",
+        "seed": 4, "alpha": 0.5, "beta": 0.5, "tau0": 1, "max_iters": 300,
+        "bb_gradient": "mixed",
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(settings))
@@ -686,34 +690,31 @@ def test_config_file_and_flags_share_one_declaration(tmp_path):
 
 
 def test_each_setting_is_one_flag_and_one_config_key(tmp_path, monkeypatch):
-    # Every flag's dest, per subcommand (run is the only one), from the parsed
-    # arguments main hands on.
-    resolve, dests = cli._resolve_config, {}
+    # Every flag's dest, from the parsed arguments main hands on.
+    resolve, parsed = cli._resolve_config, []
 
     def capture(args):
-        dests.setdefault(args.command, {k for k in vars(args) if k not in ("command", "config")})
+        parsed.append(args)
         return resolve(args)
 
     monkeypatch.setattr(cli, "_resolve_config", capture)
     monkeypatch.setattr(cli, "_run_points", lambda *resolved: 0)  # no solve, no output
-    commands = ["run"]
-    for command in commands:
-        main([command, "--out", str(tmp_path / "out")])
-    # A config key a command does not have is refused as unknown; any other
-    # key with a null value gets past that test and is refused (or overridden) later.
+    main(["run", "--out", str(tmp_path / "out")])
+    dests = {k for k in vars(parsed[0]) if k not in ("command", "config")}
+    # A config key that is no setting is refused as unknown; any other key
+    # with a null value gets past that test and is refused (or overridden) later.
     cfg_path = tmp_path / "cfg.json"
-    for command in commands:
-        accepted = set()
-        for key in set().union(*dests.values()):
-            cfg_path.write_text(json.dumps({key: None}))
-            try:
-                main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    accepted = set()
+    for key in dests:
+        cfg_path.write_text(json.dumps({key: None}))
+        try:
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            accepted.add(key)
+        except SystemExit as exc:
+            if "unknown config key" not in str(exc.code):
                 accepted.add(key)
-            except SystemExit as exc:
-                if "unknown config key" not in str(exc.code):
-                    accepted.add(key)
-        assert accepted == dests[command], command
-    assert "vary" in dests["run"] and "alphas" not in dests["run"]
+    assert accepted == dests
+    assert "vary" in dests and "alphas" not in dests
 
 
 def test_unreadable_config_is_an_error(tmp_path):
@@ -725,7 +726,7 @@ def test_unreadable_config_is_an_error(tmp_path):
 _NON_DEFAULT = {
     "alpha": "0.5", "beta": "0.5", "mode": "monotone", "epsilon": "1e-5", "tolx": "1e-7",
     "tolf": "1e-11", "window": "3", "max_iters": "50", "delta": "0.5", "rho1": "1e-3",
-    "tau_min": "1e-10", "tau_max": "1e3", "eta": "0.5", "tau0": "1e-2", "bb_mode": "bb1",
+    "tau_min": "1e-10", "tau_max": "1e3", "eta": "0.5", "tau0": "1e-2",
     "step_init": "fixed", "bb_gradient": "mixed", "max_halvings": "30",
 }
 
@@ -750,3 +751,17 @@ def test_solver_flag_outside_its_choices_exits_via_argparse(tmp_path):
 def test_bad_family_flag_exits_via_argparse(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run", "--family", "ridge", "--out", str(tmp_path / "x")])
+
+
+# -- committed tables -------------------------------------------------------------------------
+
+
+def test_committed_summaries_name_only_current_settings():
+    # Each table under repro/ records settings a config file can still hold,
+    # so a summary's config and solver_params read back as settings.
+    summaries = sorted((Path(__file__).parent.parent / "repro").glob("*/summary.json"))
+    assert summaries
+    for path in summaries:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        assert set(summary["solver_params"]) == {f.name for f in fields(StiefelSolver)}, path
+        assert set(summary["config"]) <= set(cli._DEFAULTS), path

@@ -15,7 +15,6 @@ from stiefelopt import (
     frobenius_norm,
     gradient_split,
     is_tangent,
-    mixed_direction,
     project,
     random_orthonormal,
     retract,
@@ -75,7 +74,7 @@ def test_both_components_and_mixes_are_tangent():
         split = gradient_split(point, grad)
         assert is_tangent(point, split.canonical, 1e-10)
         assert is_tangent(point, split.complement, 1e-10)
-        assert is_tangent(point, mixed_direction(split, 0.6, 0.4), 1e-10)
+        assert is_tangent(point, _mix(split, 0.6, 0.4), 1e-10)
 
 
 def test_norm_identity_links_skew_and_canonical():
@@ -111,23 +110,6 @@ def test_stationarity_skew_vanishes_iff_canonical_does():
 
 
 # -- mixed direction -----------------------------------------------------------------
-
-
-def test_mixed_direction_combines_and_validates():
-    rng = np.random.default_rng(4)
-    point, grad = _random_case(rng, n=6, p=2)
-    split = gradient_split(point, grad)
-    npt.assert_allclose(
-        mixed_direction(split, 0.3, 0.7),
-        0.3 * split.canonical + 0.7 * split.complement,
-        atol=1e-15,
-    )
-    with pytest.raises(ValueError, match="alpha"):
-        mixed_direction(split, 0.0, 1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        mixed_direction(split, -0.5, 1.0)
-    with pytest.raises(ValueError, match="beta"):
-        mixed_direction(split, 1.0, -0.1)
 
 
 @st.composite
@@ -201,7 +183,7 @@ def test_descent_derivative_equals_minus_inner_product():
         split = gradient_split(point, grad)
         alpha = float(rng.uniform(0.01, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
-        h = mixed_direction(split, alpha, beta)
+        h = _mix(split, alpha, beta)
         dd = descent_derivative(split, alpha, beta)
         scale = max(1.0, abs(dd))
         assert dd == pytest.approx(-frobenius_inner(grad, h), abs=1e-10 * scale)
@@ -236,7 +218,7 @@ def test_descent_derivative_matches_finite_difference_along_curve():
         split = gradient_split(point, grad)
         alpha = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
-        h = mixed_direction(split, alpha, beta)
+        h = _mix(split, alpha, beta)
         dd = descent_derivative(split, alpha, beta)
         tau = 1e-6
         forward, *_ = retract(point, h, tau)

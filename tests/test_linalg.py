@@ -1,5 +1,5 @@
-"""Dense linear-algebra helpers: coercion, inner products, thin SVD,
-random orthonormal draws, Householder reflectors."""
+"""Dense linear-algebra helpers: coercion, inner products, thin SVD and
+random orthonormal draws."""
 
 import math
 
@@ -14,7 +14,6 @@ from stiefelopt import (
     as_matrix,
     frobenius_inner,
     frobenius_norm,
-    householder_reflector,
     random_orthonormal,
     thin_svd,
 )
@@ -175,35 +174,3 @@ def test_random_orthonormal_invalid_shapes_raise():
     with pytest.raises(ValueError, match="n >= p >= 1"):
         random_orthonormal(2, 3)
 
-
-# -- Householder reflector -------------------------------------------------------
-
-
-def test_householder_hand_values():
-    npt.assert_allclose(
-        householder_reflector(np.array([1.0, 0.0])), np.diag([-1.0, 1.0]), atol=1e-15
-    )
-    npt.assert_allclose(
-        householder_reflector(np.array([1.0, 1.0])),
-        [[0.0, -1.0], [-1.0, 0.0]],
-        atol=1e-15,
-    )
-
-
-def test_householder_is_symmetric_orthogonal_and_reflects_v():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        v = rng.standard_normal(6)
-        q = householder_reflector(v)
-        npt.assert_allclose(q, q.T, atol=1e-14)
-        npt.assert_allclose(q @ q, np.eye(6), atol=1e-13)
-        npt.assert_allclose(q @ v, -v, atol=1e-13)
-
-
-def test_householder_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="nonzero"):
-        householder_reflector(np.zeros(3))
-    with pytest.raises(ValueError, match="1-D"):
-        householder_reflector(np.eye(2))
-    with pytest.raises(ValueError, match="non-finite"):
-        householder_reflector(np.array([1.0, np.nan]))

@@ -19,7 +19,6 @@ from stiefelopt import (
     descent_derivative,
     frobenius_norm,
     gradient_split,
-    mixed_direction,
     nonmonotone_update,
     random_orthonormal,
     retract,
@@ -49,7 +48,7 @@ def _circle_quadratic_case():
     point = StiefelPoint(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
     grad = np.array([[2.0 * point.x[0, 0]], [6.0 * point.x[1, 0]]])
     split = gradient_split(point, grad)
-    direction = mixed_direction(split, 1.0, 0.0)
+    direction = _mix(split, 1.0, 0.0)
     slope = descent_derivative(split, 1.0, 0.0)
     assert slope == pytest.approx(-4.0, abs=1e-12)
     return objective, point, direction, slope

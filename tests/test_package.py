@@ -13,12 +13,10 @@ MODULES = ["linalg", "manifold", "directions", "linesearch", "solver", "problems
 PUBLIC = {
     "__version__",
     # linalg
-    "ThinSVD",
     "as_generator",
     "as_matrix",
     "frobenius_inner",
     "frobenius_norm",
-    "householder_reflector",
     "random_orthonormal",
     "thin_svd",
     # manifold
@@ -34,7 +32,6 @@ PUBLIC = {
     "GradientSplit",
     "descent_derivative",
     "gradient_split",
-    "mixed_direction",
     # linesearch
     "LineSearchResult",
     "NonmonotoneState",
@@ -48,7 +45,6 @@ PUBLIC = {
     "SolverReport",
     "StiefelSolver",
     "Termination",
-    "kkt_residual",
     "stopping_check",
     # problems
     "CallableObjective",

@@ -28,7 +28,7 @@ from stiefelopt import (
     save_problem,
 )
 from stiefelopt.cli import _DEFAULTS, _build_instance
-from stiefelopt.problems import _FAMILIES
+from stiefelopt.problems import _FAMILIES, _householder_reflector
 
 from helpers import traced_peak
 
@@ -120,6 +120,27 @@ def test_wopp_weight_matrix_is_spd_with_bounded_spectrum():
     npt.assert_array_equal(problem.c, problem.c.T)
     eigs = np.linalg.eigvalsh(problem.c)
     assert np.all(eigs >= 0.5 - 1e-12) and np.all(eigs <= 2.0 + 1e-12)
+
+
+def test_householder_hand_values():
+    npt.assert_allclose(
+        _householder_reflector(np.array([1.0, 0.0])), np.diag([-1.0, 1.0]), atol=1e-15
+    )
+    npt.assert_allclose(
+        _householder_reflector(np.array([1.0, 1.0])),
+        [[0.0, -1.0], [-1.0, 0.0]],
+        atol=1e-15,
+    )
+
+
+def test_householder_is_symmetric_orthogonal_and_reflects_v():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        v = rng.standard_normal(6)
+        q = _householder_reflector(v)
+        npt.assert_allclose(q, q.T, atol=1e-14)
+        npt.assert_allclose(q @ q, np.eye(6), atol=1e-13)
+        npt.assert_allclose(q @ v, -v, atol=1e-13)
 
 
 def test_wopp_generate_is_seed_deterministic():

@@ -32,8 +32,7 @@ def reference_step(solver, objective, it):
     if k > 0 and solver.step_init == "bb":
         s, r = it.bb_pair
         bb1, bb2 = abs(np.sum(s * s) / np.sum(s * r)), abs(np.sum(s * r) / np.sum(r * r))
-        use_bb1 = {"bb1": True, "bb2": False, "alternate": (k - 1) % 2 == 0}[solver.bb_mode]
-        tau = min(max(bb1 if use_bb1 else bb2, solver.tau_min), solver.tau_max)
+        tau = min(max(bb1 if (k - 1) % 2 == 0 else bb2, solver.tau_min), solver.tau_max)
     for nfe in range(1, solver.max_halvings + 2):
         u, _, vt = np.linalg.svd(x - tau * h, full_matrices=False)
         z = u @ vt
@@ -64,17 +63,19 @@ def _eig(seed):
 CASES = {
     "wopp-default": (_wopp, dict(alpha=0.5, beta=0.5)),
     "wopp-monotone-mixed": (_wopp, dict(alpha=0.5, beta=0.5, mode="monotone", bb_gradient="mixed")),
-    "wopp-bb2-fixed": (_wopp, dict(alpha=0.5, beta=0.5, bb_mode="bb2", step_init="fixed")),
+    "wopp-fixed": (_wopp, dict(alpha=0.5, beta=0.5, step_init="fixed")),
     "eig-monotone": (_eig, dict(mode="monotone")),
     # rho1 = 0.9 makes searches backtrack, so later trials are valued along the curve.
     "eig-monotone-backtracks": (_eig, dict(mode="monotone", rho1=0.9)),
     "energy-default": (lambda seed: (EnergyProblem(40, 4), random_orthonormal(40, 4, seed)), {}),
 }
-# The rest of mode x bb_mode x bb_gradient x step_init on the same WOPP instances.
-_AXES = ("mode", "bb_mode", "bb_gradient", "step_init")
+# The rest of mode x bb_gradient x step_init on the same WOPP instances.
+# Settings are compared by get_params, as solvers compare by identity.
+_AXES = ("mode", "bb_gradient", "step_init")
+_NAMED = [StiefelSolver(**params).get_params() for _, params in CASES.values()]
 for _cell in itertools.product(*(PARAM_CHOICES[axis] for axis in _AXES)):
     _params = dict(alpha=0.5, beta=0.5, **dict(zip(_AXES, _cell)))
-    if all(StiefelSolver(**_params) != StiefelSolver(**params) for _, params in CASES.values()):
+    if StiefelSolver(**_params).get_params() not in _NAMED:
         CASES["wopp-" + "-".join(_cell)] = (_wopp, _params)
 
 

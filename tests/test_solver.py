@@ -28,9 +28,7 @@ from stiefelopt import (
     as_generator,
     bb_steps,
     clamp_step,
-    frobenius_norm,
     gradient_split,
-    kkt_residual,
     random_orthonormal,
     stopping_check,
 )
@@ -50,7 +48,6 @@ EXPECTED_DEFAULTS = {
     "tau_max": 1e20,
     "eta": 0.85,
     "tau0": 1e-3,
-    "bb_mode": "alternate",
     "step_init": "bb",
     "bb_gradient": "canonical",
     "max_halvings": 60,
@@ -110,7 +107,6 @@ def test_set_params_round_trip_and_unknown_key():
         {"tau_min": 2.0, "tau_max": 1.0},
         {"eta": 1.0},
         {"eta": -0.1},
-        {"bb_mode": "bb3"},
         {"step_init": "warm"},
         {"bb_gradient": "full"},
         {"max_halvings": 0},
@@ -281,16 +277,6 @@ def test_termination_strings_and_success_set():
         "LineSearchFailed",
         "NoProgress",
     }
-
-
-def test_kkt_residual_accepts_point_or_array():
-    rng = as_generator(0)
-    point = StiefelPoint(random_orthonormal(7, 3, rng))
-    grad = rng.standard_normal((7, 3))
-    split = gradient_split(point, grad)
-    expected = frobenius_norm(split.canonical)
-    assert kkt_residual(point, grad) == pytest.approx(expected, rel=1e-13)
-    assert kkt_residual(point.x, grad) == pytest.approx(expected, rel=1e-13)
 
 
 # -- basic solves -------------------------------------------------------------------
@@ -708,20 +694,14 @@ def _recompute_trials(problem, x0, report, iterates, solver):
             mix = lambda sp: solver.alpha * sp.canonical + solver.beta * sp.complement
             r = mix(splits[k]) - mix(splits[k - 1])
         bb1, bb2 = bb_steps(s, r)
-        if solver.bb_mode == "bb1":
-            raw = bb1
-        elif solver.bb_mode == "bb2":
-            raw = bb2
-        else:
-            raw = bb1 if (k - 1) % 2 == 0 else bb2
+        raw = bb1 if (k - 1) % 2 == 0 else bb2
         trials[k] = clamp_step(raw, solver.tau_min, solver.tau_max)
     return trials
 
 
-@pytest.mark.parametrize("bb_mode", ["alternate", "bb1", "bb2"])
-def test_accepted_steps_match_recomputed_bb_trials(bb_mode):
+def test_accepted_steps_match_recomputed_bb_trials():
     problem, x0 = _small_wopp(seed=19)
-    solver = StiefelSolver(bb_mode=bb_mode)
+    solver = StiefelSolver()
     iterates = []
     report = solver.solve(problem, x0, callback=lambda k, x: iterates.append(x.copy()))
     trials = _recompute_trials(problem, x0, report, iterates, solver)
