@@ -9,6 +9,8 @@ setting. It writes ``runs.csv`` (header: the run record's keys, as in
 ``--history``, ``history.csv``, rows led by the point's settings. Settings come
 from built-in defaults, a JSON config file, then flags, in that order of
 precedence; ``_DEFAULTS`` declares each once, as one flag and one config key.
+A ``summary.json`` is also a config file: its ``config`` and ``solver_params``,
+so ``--config DIR/summary.json`` runs that table's command again.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .linalg import as_generator, random_orthonormal
 from .problems import _FAMILIES, EigProblem, EnergyProblem, WoppProblem, _checked_mu
@@ -172,7 +175,8 @@ def _run_points(cfg: dict, solver_params: dict, points: list[dict], solvers: lis
     if history:
         _write_csv(outdir / "history.csv", list(history[0]), history)
     summary = {"config": cfg, "solver_params": solver_params, "points": points,
-               "runs": runs, "aggregate": aggregate}
+               "runs": runs, "aggregate": aggregate,
+               "versions": {"numpy": np.__version__, "scipy": scipy.__version__}}
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
     print(f"wrote {outdir}")
     return 0 if all(run["converged"] for run in runs) else 1
@@ -238,6 +242,12 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict, list[dict], l
             raise SystemExit(f"error: cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise SystemExit(f"error: config {args.config} must be a JSON object")
+        if "solver_params" in loaded:  # a summary.json: its settings, its results ignored
+            parts = (loaded.get("config", {}), loaded["solver_params"])
+            if not all(isinstance(part, dict) for part in parts):
+                raise SystemExit(f"error: summary {args.config} needs JSON objects as its "
+                                 "config and solver_params")
+            loaded = {**parts[0], **parts[1]}
         for key in loaded:
             if key not in defaults:
                 raise SystemExit(f"error: unknown config key {key!r}")
@@ -283,7 +293,7 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     sub = subs.add_parser("run", help="solve N seeded instances at every point of a grid")
-    sub.add_argument("--config", help="JSON config file")
+    sub.add_argument("--config", help="JSON config file, or a run's summary.json")
     for key, (default, doc) in _DEFAULTS.items():
         if isinstance(default, bool):
             kind = {"action": argparse.BooleanOptionalAction}

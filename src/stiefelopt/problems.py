@@ -205,9 +205,7 @@ class WoppProblem(_SharedWork):
         i = np.arange(1, m + 1, dtype=np.float64)
         if ptype == 2:
             return i + 2.0 * rng.random(m)
-        if ptype == 3:
-            return 1.0 + 99.0 * (i - 1.0) / (m + 1.0) + 2.0 * rng.random(m)
-        raise ValueError(f"ptype must be 1, 2 or 3, got {ptype}")
+        return 1.0 + 99.0 * (i - 1.0) / (m + 1.0) + 2.0 * rng.random(m)
 
     @classmethod
     def generate(
@@ -234,6 +232,8 @@ class WoppProblem(_SharedWork):
         """
         if m < n or n < 1:
             raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
+        if ptype not in (1, 2, 3):
+            raise ValueError(f"ptype must be 1, 2 or 3, got {ptype}")
         rng = as_generator(seed if rng is None else rng)
         p_orth = random_orthonormal(m, m, rng)
         r_orth = random_orthonormal(m, m, rng)

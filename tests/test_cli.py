@@ -17,8 +17,8 @@ RUN_COLUMNS = ["sim", "seed", "nitr", "nfe", "nge", "time_s", "fval", "nrmg", "f
                "termination", "name", "converged", "error"]
 AGG_COLUMNS = ["nitr", "nfe", "nge", "time_s", "fval", "nrmg", "feasi", "error"]
 # A grid over the acceptance rule, and one over the direction mix with beta = 1 - alpha.
-COMPARE = ["--vary", "mode=monotone,nonmonotone"]
-SWEEP = ["--vary", "alpha=0.5,1", "beta=0.5,0"]
+MODE_AXIS = ["--vary", "mode=monotone,nonmonotone"]
+MIX_AXIS = ["--vary", "alpha=0.5,1", "beta=0.5,0"]
 
 
 def _read_csv(path):
@@ -153,7 +153,7 @@ def test_run_exit_code_flags_nonconvergence(tmp_path):
 # -- the acceptance rule as a grid axis ------------------------------------------------
 
 
-def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
+def test_mode_axis_runs_both_modes_on_identical_seeds(tmp_path):
     settings = [
         "--family", "wopp",
         "--n", "12",
@@ -162,7 +162,7 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
         "--sims", "2",
         "--seed", "5",
     ]
-    assert main(["run", *settings, *COMPARE, "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["run", *settings, *MODE_AXIS, "--out", str(tmp_path / "cmp")]) == 0
     header, rows = _read_csv(tmp_path / "cmp" / "runs.csv")
     assert header == ["mode", *RUN_COLUMNS]
     mono = [r[1:] for r in rows if r[0] == "monotone"]
@@ -187,7 +187,7 @@ def test_compare_runs_both_modes_on_identical_seeds(tmp_path):
 # -- the direction mix as a grid axis ----------------------------------------------------
 
 
-def test_sweep_walks_the_direction_mix(tmp_path):
+def test_mix_axis_walks_the_direction_mix(tmp_path):
     args = [
         "run",
         "--family", "wopp",
@@ -207,10 +207,10 @@ def test_sweep_walks_the_direction_mix(tmp_path):
         assert row[header.index("termination")] != ""
 
 
-def test_sweep_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
+def test_mix_axis_runs_sims_instances_per_alpha_as_run_rows(tmp_path):
     settings = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution",
                 "--sims", "2", "--seed", "3"]
-    assert main(["run", *settings, *SWEEP, "--out", str(tmp_path / "sw")]) == 0
+    assert main(["run", *settings, *MIX_AXIS, "--out", str(tmp_path / "sw")]) == 0
     header, rows = _read_csv(tmp_path / "sw" / "runs.csv")
     assert header == ["alpha", "beta", *RUN_COLUMNS]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
@@ -260,7 +260,7 @@ def test_bad_alphas_are_rejected_before_any_output(tmp_path, capsys, vary, messa
     assert not out.exists()
 
 
-def test_sweep_checks_its_own_alpha_beta_not_the_configs(tmp_path, capsys):
+def test_mix_axis_checks_its_own_alpha_beta_not_the_configs(tmp_path, capsys):
     # A config may set alpha = beta = 0, which a run refuses; a grid that
     # sets both at every point replaces them, so it runs.
     cfg_path = tmp_path / "cfg.json"
@@ -274,7 +274,7 @@ def test_sweep_checks_its_own_alpha_beta_not_the_configs(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_sweep_rejects_weights_outside_unit_interval(tmp_path, capsys):
+def test_mix_axis_rejects_weights_outside_unit_interval(tmp_path, capsys):
     # validate_params checks each point: the second one's beta is negative.
     args = ["run", "--n", "6", "--p", "2", "--vary", "alpha=0,2", "beta=1,-1",
             "--out", str(tmp_path / "x")]
@@ -326,7 +326,7 @@ def test_a_bad_vary_value_exits_via_argparse(tmp_path):
 def test_vary_axes_cross_with_the_first_outermost(tmp_path):
     settings = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution", "--sims", "2"]
     out = tmp_path / "grid"
-    assert main(["run", *settings, *COMPARE, *SWEEP, "--out", str(out)]) == 0
+    assert main(["run", *settings, *MODE_AXIS, *MIX_AXIS, "--out", str(out)]) == 0
     header, rows = _read_csv(out / "runs.csv")
     assert header == ["mode", "alpha", "beta", *RUN_COLUMNS]
     assert [r[:4] for r in rows] == [
@@ -352,7 +352,7 @@ def test_energy_and_eig_counts_do_not_depend_on_the_mix(tmp_path):
     for family, n, p in (("energy", "30", "4"), ("eig", "16", "12")):
         out = tmp_path / family
         assert main(["run", "--family", family, "--n", n, "--p", p, "--sims", "2",
-                     *COMPARE, "--vary", *mixes, "--out", str(out)]) == 0
+                     *MODE_AXIS, "--vary", *mixes, "--out", str(out)]) == 0
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert len(runs) == 2 * 5 * 2
         by_case = {}
@@ -368,10 +368,10 @@ def test_energy_and_eig_counts_do_not_depend_on_the_mix(tmp_path):
 
 # A grid and the (n, seed) of each instance it builds, in build order.
 _BUILDS = {
-    "mode": (COMPARE, [(12, 7), (12, 8)]),
+    "mode": (MODE_AXIS, [(12, 7), (12, 8)]),
     "mix": (["--vary", "alpha=0,0.5,1", "beta=1,0.5,0"], [(12, 7), (12, 8)]),
     # Two instance settings x two modes: each (setting, seed) is built once.
-    "instances": (["--vary", "n=12,16", "p=3,4", *COMPARE], [(12, 7), (16, 7), (12, 8), (16, 8)]),
+    "instances": (["--vary", "n=12,16", "p=3,4", *MODE_AXIS], [(12, 7), (16, 7), (12, 8), (16, 8)]),
 }
 
 
@@ -395,14 +395,15 @@ def test_each_seed_builds_one_instance_for_every_point(tmp_path, capsys, monkeyp
 def test_an_instance_grid_gives_the_rows_of_separate_runs(tmp_path):
     settings = ["--family", "wopp", "--known-solution", "--sims", "2"]
     out = tmp_path / "grid"
-    assert main(["run", *settings, "--vary", "n=12,16", "p=3,4", *COMPARE, "--out", str(out)]) == 0
+    assert main(["run", *settings, "--vary", "n=12,16", "p=3,4", *MODE_AXIS,
+                 "--out", str(out)]) == 0
     header, rows = _read_csv(out / "runs.csv")
     assert header == ["n", "p", "mode", *RUN_COLUMNS]
     assert [r[:2] for r in rows] == [["12", "3"]] * 4 + [["16", "4"]] * 4
     keep = [c for c in header[2:] if c != "time_s"]
     separate = []
     for n, p in (("12", "3"), ("16", "4")):
-        assert main(["run", *settings, "--n", n, "--p", p, *COMPARE,
+        assert main(["run", *settings, "--n", n, "--p", p, *MODE_AXIS,
                      "--out", str(tmp_path / n)]) == 0
         run_header, run_rows = _read_csv(tmp_path / n / "runs.csv")
         separate += [[r[run_header.index(c)] for c in keep] for r in run_rows]
@@ -419,11 +420,11 @@ _WOPP_SETTINGS = ["--family", "wopp", "--n", "12", "--p", "3", "--known-solution
 # Each grid (none, the mode axis, the mix axis, the two crossed) and its point keys.
 _GRIDS = {
     "run": ([], []),
-    "mode": (COMPARE, ["mode"]),
-    "mix": (SWEEP, ["alpha", "beta"]),
-    "crossed": ([*COMPARE, *SWEEP], ["mode", "alpha", "beta"]),
+    "mode": (MODE_AXIS, ["mode"]),
+    "mix": (MIX_AXIS, ["alpha", "beta"]),
+    "crossed": ([*MODE_AXIS, *MIX_AXIS], ["mode", "alpha", "beta"]),
     # An instance axis inside a solver one: the files still go point by point.
-    "instances": ([*COMPARE, "--vary", "n=12,16", "p=3,4"], ["mode", "n", "p"]),
+    "instances": ([*MODE_AXIS, "--vary", "n=12,16", "p=3,4"], ["mode", "n", "p"]),
 }
 
 
@@ -433,7 +434,7 @@ def test_every_grid_writes_the_same_files_and_columns(tmp_path, grid, keys):
     assert main(["run", *grid, *_WOPP_SETTINGS, "--out", str(out)]) == 0
     assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "runs.csv", "summary.json"]
     summary = json.loads((out / "summary.json").read_text())
-    assert list(summary) == ["config", "solver_params", "points", "runs", "aggregate"]
+    assert list(summary) == ["config", "solver_params", "points", "runs", "aggregate", "versions"]
     points = summary["points"]
     assert [list(point) for point in points] == [keys] * len(points)
     header, rows = _read_csv(out / "runs.csv")
@@ -547,6 +548,11 @@ _BAD_SETTINGS = {
     "run-alphas": ({"alphas": [0.5]}, "unknown config key 'alphas'"),
     # The BB formula is no setting: BB1 and BB2 alternate by iteration parity.
     "bb_mode-removed": ({"bb_mode": "bb1"}, "unknown config key 'bb_mode'"),
+    # A summary.json read as a config gets the same checks as its settings would.
+    "summary-bb_mode-removed": ({"config": {}, "solver_params": {"bb_mode": "bb1"}},
+                                "unknown config key 'bb_mode'"),
+    "summary-params-list": ({"config": {}, "solver_params": [1]},
+                            "as its config and solver_params"),
     # A grid over the run's own keys or unknown ones, a key on two axes, or
     # unequal or empty axes.
     "vary-run-key": (("--vary", "sims=1,2"), "instance and solver settings, each on one axis, "
@@ -755,13 +761,38 @@ def test_bad_family_flag_exits_via_argparse(tmp_path, capsys):
 
 # -- committed tables -------------------------------------------------------------------------
 
+_REPRO = Path(__file__).parent.parent / "repro"
+_TABLES = sorted(summary.parent for summary in _REPRO.glob("*/summary.json"))
 
-def test_committed_summaries_name_only_current_settings():
-    # Each table under repro/ records settings a config file can still hold,
-    # so a summary's config and solver_params read back as settings.
-    summaries = sorted((Path(__file__).parent.parent / "repro").glob("*/summary.json"))
-    assert summaries
-    for path in summaries:
-        summary = json.loads(path.read_text(encoding="utf-8"))
-        assert set(summary["solver_params"]) == {f.name for f in fields(StiefelSolver)}, path
-        assert set(summary["config"]) <= set(cli._DEFAULTS), path
+
+def _runs(table):
+    with open(table / "runs.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=lambda table: table.name)
+def test_committed_table_regenerates_from_its_summary(tmp_path, table):
+    # Each table under repro/ is the output of --config on its own summary.json.
+    summary = json.loads((table / "summary.json").read_text(encoding="utf-8"))
+    # Read as a config, a summary refuses a setting that has gone but would give
+    # a new one its default: it must name every solver setting.
+    assert set(summary["solver_params"]) == {f.name for f in fields(StiefelSolver)}
+    code = main(["run", "--config", str(table / "summary.json"), "--out", str(tmp_path)])
+    fresh = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    committed, rerun = _runs(table), _runs(tmp_path)
+    assert code == (0 if all(run["converged"] == "1" for run in committed) else 1)
+    assert fresh["points"] == summary["points"]
+    keys = [*summary["points"][0], "sim", "seed", "converged"]
+    assert [[run[k] for k in keys] for run in rerun] == [
+        [run[k] for k in keys] for run in committed
+    ]
+    # A run at its oracle's optimum stays there.
+    assert all(float(new["error"]) <= 1e-8 for new, old in zip(rerun, committed)
+               if old["error"] and float(old["error"]) <= 1e-8)
+    # The last bits move with the BLAS kernel and its thread count, and the counts did
+    # not; they are held equal under the numpy and scipy that wrote the table.
+    if fresh["versions"] == summary.get("versions"):
+        counts = ["nitr", "nfe", "nge", "termination"]
+        assert [[run[k] for k in counts] for run in rerun] == [
+            [run[k] for k in counts] for run in committed
+        ]

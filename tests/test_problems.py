@@ -159,8 +159,12 @@ def test_wopp_name_carries_conditioning_class():
 def test_wopp_validates_inputs():
     with pytest.raises(ValueError, match="m >= n"):
         WoppProblem.generate(2, 3)
+    # A bad ptype is refused before any draw: the shared generator has not moved.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError, match="ptype"):
-        WoppProblem.generate(4, 2, ptype=4)
+        WoppProblem.generate(4, 2, ptype=4, rng=rng)
+    assert rng.bit_generator.state == state
     with pytest.raises(ValueError, match="square"):
         WoppProblem(np.eye(3, 2), np.eye(2), np.eye(3, 2))
     with pytest.raises(ValueError, match="b must be"):
