@@ -41,9 +41,10 @@ CURVE_MAX_COND = 10.0
 
 
 def bb_steps(step_diff, grad_diff) -> tuple[float, float]:
-    """Both Barzilai-Borwein trial steps from one iterate/gradient difference.
+    """Both Barzilai-Borwein trial steps from one iterate/direction difference.
 
-    With ``S = X_{k+1} - X_k`` and ``R`` the gradient difference::
+    With ``S = X_{k+1} - X_k`` and ``R = H_{k+1} - H_k``, the difference of
+    the search directions the solver steps along::
 
         bb1 = | ||S||_F^2 / <S, R> |       bb2 = | <S, R> / ||R||_F^2 |
 

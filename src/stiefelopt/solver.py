@@ -214,9 +214,10 @@ def stopping_check(
 
 class _Iterate(NamedTuple):
     """The solve's state at ``X_k``: the point, the gradient split and mixed
-    direction there, the acceptance reference, the BB pair ``(S, R)`` of the
-    step into ``X_k`` (``None`` at ``X_0``) and its history row, which holds
-    its value.  Frozen, and a tuple because one is built per iteration."""
+    direction there, the acceptance reference, the BB pair ``(S, R)`` (the
+    step into ``X_k`` and the change in direction over it; ``None`` at
+    ``X_0``) and its history row, which holds its value.  Frozen, and a
+    tuple because one is built per iteration."""
 
     point: StiefelPoint
     split: GradientSplit
@@ -231,7 +232,6 @@ class _Iterate(NamedTuple):
 PARAM_CHOICES = {
     "mode": ("monotone", "nonmonotone"),
     "step_init": ("fixed", "bb"),
-    "bb_gradient": ("canonical", "mixed"),
 }
 
 
@@ -273,10 +273,10 @@ class StiefelSolver:
     step_init : {"bb", "fixed"}
         Trial-step policy after iteration 0, the same in both modes: the
         clamped BB step, BB1 and BB2 alternating by iteration parity (even
-        memory index -> BB1), or ``tau0`` again.
-    bb_gradient : {"canonical", "mixed"}
-        Whether the BB residual uses the canonical-gradient difference or
-        the full mixed-direction difference.
+        memory index -> BB1), or ``tau0`` again.  The BB pair is
+        ``S = X_k - X_{k-1}`` and ``R = H_k - H_{k-1}``, the change in the
+        search direction, so ``(2*alpha, 2*beta, tau0/2)`` takes the same
+        iterates as ``(alpha, beta, tau0)`` with every ``tau`` halved.
     max_halvings : int
         Backtracking budget per iteration.
 
@@ -302,7 +302,6 @@ class StiefelSolver:
     eta: float = 0.85
     tau0: float = 1e-3
     step_init: str = "bb"
-    bb_gradient: str = "canonical"
     max_halvings: int = 60
 
     # -- estimator-style parameter handling --------------------------------
@@ -487,12 +486,7 @@ class StiefelSolver:
         ``fastpath``, ``nfe``) are the keywords ``row``."""
         split = gradient_split(point, objective.gradient(point.x))
         direction = _mix(split, self.alpha, self.beta)
-        if prev is None:
-            bb_pair = None
-        elif self.bb_gradient == "canonical":
-            bb_pair = (step, split.canonical - prev.split.canonical)
-        else:
-            bb_pair = (step, direction - prev.direction)
+        bb_pair = None if prev is None else (step, direction - prev.direction)
         record = IterationRecord(fval=fval, nrmg=split.canonical_norm, cval=state.c,
                                  feasibility=point.feasibility, skew_norm=split.skew_norm, **row)
         return _Iterate(point, split, direction, state, bb_pair, record)

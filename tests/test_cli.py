@@ -4,6 +4,9 @@ precedence, exit codes, and reproducibility."""
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -551,6 +554,10 @@ _BAD_SETTINGS = {
     # A summary.json read as a config gets the same checks as its settings would.
     "summary-bb_mode-removed": ({"config": {}, "solver_params": {"bb_mode": "bb1"}},
                                 "unknown config key 'bb_mode'"),
+    # The BB residual is no setting: it is the change in the search direction.
+    "bb_gradient-removed": ({"bb_gradient": "mixed"}, "unknown config key 'bb_gradient'"),
+    "summary-bb_gradient-removed": ({"config": {}, "solver_params": {"bb_gradient": "mixed"}},
+                                    "unknown config key 'bb_gradient'"),
     "summary-params-list": ({"config": {}, "solver_params": [1]},
                             "as its config and solver_params"),
     # A grid over the run's own keys or unknown ones, a key on two axes, or
@@ -680,7 +687,7 @@ def test_config_file_and_flags_share_one_declaration(tmp_path):
     settings = {
         "family": "wopp", "n": 10, "p": 3, "ptype": 2, "known_solution": True, "sims": 2,
         "seed": 4, "alpha": 0.5, "beta": 0.5, "tau0": 1, "max_iters": 300,
-        "bb_gradient": "mixed",
+        "mode": "monotone",
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(settings))
@@ -733,7 +740,7 @@ _NON_DEFAULT = {
     "alpha": "0.5", "beta": "0.5", "mode": "monotone", "epsilon": "1e-5", "tolx": "1e-7",
     "tolf": "1e-11", "window": "3", "max_iters": "50", "delta": "0.5", "rho1": "1e-3",
     "tau_min": "1e-10", "tau_max": "1e3", "eta": "0.5", "tau0": "1e-2",
-    "step_init": "fixed", "bb_gradient": "mixed", "max_halvings": "30",
+    "step_init": "fixed", "max_halvings": "30",
 }
 
 
@@ -748,10 +755,12 @@ def test_every_solver_parameter_has_a_flag(tmp_path, field):
 
 
 def test_solver_flag_outside_its_choices_exits_via_argparse(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(_run_args(tmp_path, "--bb-gradient", "full"))
-    assert exc.value.code == 2
-    assert not (tmp_path / "out").exists()
+    # So does the flag of a removed setting: the BB residual is no setting.
+    for flag in (("--step-init", "full"), ("--bb-gradient", "mixed")):
+        with pytest.raises(SystemExit) as exc:
+            main(_run_args(tmp_path, *flag))
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_bad_family_flag_exits_via_argparse(tmp_path, capsys):
@@ -768,6 +777,10 @@ _TABLES = sorted(summary.parent for summary in _REPRO.glob("*/summary.json"))
 def _runs(table):
     with open(table / "runs.csv", newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def _counts(runs):
+    return [[run[k] for k in ("nitr", "nfe", "nge", "termination")] for run in runs]
 
 
 @pytest.mark.parametrize("table", _TABLES, ids=lambda table: table.name)
@@ -792,7 +805,27 @@ def test_committed_table_regenerates_from_its_summary(tmp_path, table):
     # The last bits move with the BLAS kernel and its thread count, and the counts did
     # not; they are held equal under the numpy and scipy that wrote the table.
     if fresh["versions"] == summary.get("versions"):
-        counts = ["nitr", "nfe", "nge", "termination"]
-        assert [[run[k] for k in counts] for run in rerun] == [
-            [run[k] for k in counts] for run in committed
-        ]
+        assert _counts(rerun) == _counts(committed)
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=lambda table: table.name)
+def test_committed_table_counts_hold_on_one_blas_thread(tmp_path, table):
+    # The test above runs at the default BLAS thread count, so on a multi-core
+    # host the two together hold the counts across thread counts too.
+    summary = json.loads((table / "summary.json").read_text(encoding="utf-8"))
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "stiefelopt.cli", "run", "--config", str(table / "summary.json"),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    committed = _runs(table)
+    assert done.returncode == (0 if all(run["converged"] == "1" for run in committed) else 1), (
+        done.stderr
+    )
+    fresh = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    if fresh["versions"] != summary.get("versions"):
+        pytest.skip("counts are held only under the numpy and scipy that wrote the table")
+    assert _counts(_runs(tmp_path)) == _counts(committed)

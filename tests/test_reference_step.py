@@ -24,9 +24,9 @@ def reference_step(solver, objective, it):
         objective.value(z)  # the gradient follows a value at the same array
         g = objective.gradient(z)
         a = g @ z.T - z @ g.T
-        return g, solver.alpha * a @ z + solver.beta * (eye - z @ z.T) @ g, a @ z
+        return g, solver.alpha * a @ z + solver.beta * (eye - z @ z.T) @ g
 
-    g, h, canonical = direction(x)
+    g, h = direction(x)
     slope = -np.sum(g * h)
     tau = solver.tau0
     if k > 0 and solver.step_init == "bb":
@@ -45,9 +45,8 @@ def reference_step(solver, objective, it):
     eta = 0.0 if solver.mode == "monotone" else solver.eta
     q = eta * it.state.q + 1.0
     c = (eta * it.state.q * it.state.c + f_z) / q
-    _, h_z, canonical_z = direction(z)
-    r = canonical_z - canonical if solver.bb_gradient == "canonical" else h_z - h
-    return slope, tau, z, c, nfe, (z - x, r)
+    _, h_z = direction(z)
+    return slope, tau, z, c, nfe, (z - x, h_z - h)
 
 
 def _wopp(seed):
@@ -62,16 +61,19 @@ def _eig(seed):
 
 CASES = {
     "wopp-default": (_wopp, dict(alpha=0.5, beta=0.5)),
-    "wopp-monotone-mixed": (_wopp, dict(alpha=0.5, beta=0.5, mode="monotone", bb_gradient="mixed")),
+    "wopp-monotone": (_wopp, dict(alpha=0.5, beta=0.5, mode="monotone")),
     "wopp-fixed": (_wopp, dict(alpha=0.5, beta=0.5, step_init="fixed")),
     "eig-monotone": (_eig, dict(mode="monotone")),
     # rho1 = 0.9 makes searches backtrack, so later trials are valued along the curve.
     "eig-monotone-backtracks": (_eig, dict(mode="monotone", rho1=0.9)),
     "energy-default": (lambda seed: (EnergyProblem(40, 4), random_orthonormal(40, 4, seed)), {}),
+    # An unequal mix of the two direction parts, under both step rules.
+    "wopp-nonmonotone-mixed-bb": (_wopp, dict(alpha=0.3, beta=0.7)),
+    "wopp-nonmonotone-mixed-fixed": (_wopp, dict(alpha=0.3, beta=0.7, step_init="fixed")),
 }
-# The rest of mode x bb_gradient x step_init on the same WOPP instances.
+# The rest of mode x step_init on the same WOPP instances.
 # Settings are compared by get_params, as solvers compare by identity.
-_AXES = ("mode", "bb_gradient", "step_init")
+_AXES = ("mode", "step_init")
 _NAMED = [StiefelSolver(**params).get_params() for _, params in CASES.values()]
 for _cell in itertools.product(*(PARAM_CHOICES[axis] for axis in _AXES)):
     _params = dict(alpha=0.5, beta=0.5, **dict(zip(_AXES, _cell)))

@@ -49,7 +49,6 @@ EXPECTED_DEFAULTS = {
     "eta": 0.85,
     "tau0": 1e-3,
     "step_init": "bb",
-    "bb_gradient": "canonical",
     "max_halvings": 60,
 }
 
@@ -85,6 +84,11 @@ def test_set_params_round_trip_and_unknown_key():
     npt.assert_equal(StiefelSolver(**params).get_params(), params)
     with pytest.raises(ValueError, match="unknown parameter"):
         solver.set_params(gamma=1.0)
+    # The BB residual is no setting: it is the change in the search direction.
+    with pytest.raises(ValueError, match="unknown parameter 'bb_gradient'"):
+        solver.set_params(bb_gradient="mixed")
+    with pytest.raises(TypeError, match="bb_gradient"):
+        StiefelSolver(bb_gradient="mixed")
 
 
 @pytest.mark.parametrize(
@@ -108,7 +112,7 @@ def test_set_params_round_trip_and_unknown_key():
         {"eta": 1.0},
         {"eta": -0.1},
         {"step_init": "warm"},
-        {"bb_gradient": "full"},
+        {"delta": 0.0},
         {"max_halvings": 0},
         {"step_init": "auto"},
         {"max_iters": True},
@@ -688,12 +692,8 @@ def _recompute_trials(problem, x0, report, iterates, solver):
     trials = {}
     for k in range(1, len(xs) - 1):  # step leaving iterate k
         s = xs[k] - xs[k - 1]
-        if solver.bb_gradient == "canonical":
-            r = splits[k].canonical - splits[k - 1].canonical
-        else:
-            mix = lambda sp: solver.alpha * sp.canonical + solver.beta * sp.complement
-            r = mix(splits[k]) - mix(splits[k - 1])
-        bb1, bb2 = bb_steps(s, r)
+        mix = lambda sp: solver.alpha * sp.canonical + solver.beta * sp.complement
+        bb1, bb2 = bb_steps(s, mix(splits[k]) - mix(splits[k - 1]))
         raw = bb1 if (k - 1) % 2 == 0 else bb2
         trials[k] = clamp_step(raw, solver.tau_min, solver.tau_max)
     return trials
@@ -717,7 +717,7 @@ def test_accepted_steps_match_recomputed_bb_trials():
 
 def test_mixed_bb_residual_uses_the_search_direction_difference():
     problem, x0 = _small_wopp(seed=23)
-    solver = StiefelSolver(alpha=0.5, beta=0.5, bb_gradient="mixed")
+    solver = StiefelSolver(alpha=0.5, beta=0.5)
     iterates = []
     report = solver.solve(problem, x0, callback=lambda k, x: iterates.append(x.copy()))
     assert report.converged
@@ -729,6 +729,30 @@ def test_mixed_bb_residual_uses_the_search_direction_difference():
         and report.history[k + 1].tau == pytest.approx(expected, rel=1e-12)
     )
     assert checked >= 5
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _small_wopp(seed=3, m=60, n=12),
+     lambda: (EigProblem.generate(60, 6, seed=3), random_orthonormal(60, 6, 3))],
+    ids=["wopp", "eig"],
+)
+def test_bb_step_does_not_depend_on_the_scale_of_the_mix(build):
+    # Doubling H = alpha*C + beta*P doubles R, so every BB trial step halves and
+    # tau*H, the iterates and the Armijo test stay the same bits.
+    problem, x0 = build()
+    a, b, t = 0.5, 0.3, 1e-3
+    one = StiefelSolver(alpha=a, beta=b, tau0=t).solve(problem, x0)
+    two = StiefelSolver(alpha=2 * a, beta=2 * b, tau0=t / 2).solve(problem, x0)
+    assert one.converged and one.x.tobytes() == two.x.tobytes()
+
+    def column(report, name):
+        return np.array([getattr(row, name) for row in report.history])
+
+    for name in ("fval", "nrmg", "relx", "nfe"):
+        npt.assert_array_equal(column(one, name), column(two, name))
+    npt.assert_array_equal(column(one, "tau") / 2, column(two, "tau"))
+    npt.assert_array_equal(column(one, "slope") * 2, column(two, "slope"))
 
 
 def test_fixed_step_policy_reuses_tau0():
