@@ -40,7 +40,7 @@ BB_DENOM_TOL = 1e-30
 CURVE_MAX_COND = 10.0
 
 
-def bb_steps(step_diff, grad_diff) -> tuple[float, float]:
+def bb_steps(step_diff, dir_diff) -> tuple[float, float]:
     """Both Barzilai-Borwein trial steps from one iterate/direction difference.
 
     With ``S = X_{k+1} - X_k`` and ``R = H_{k+1} - H_k``, the difference of
@@ -53,14 +53,14 @@ def bb_steps(step_diff, grad_diff) -> tuple[float, float]:
     :data:`BB_DENOM_TOL` yields ``math.inf`` (the caller clamps).
     """
     ss = frobenius_norm(step_diff) ** 2
-    sr = frobenius_inner(step_diff, grad_diff)
-    rr = frobenius_norm(grad_diff) ** 2
+    sr = frobenius_inner(step_diff, dir_diff)
+    rr = frobenius_norm(dir_diff) ** 2
     bb1 = math.inf if abs(sr) < BB_DENOM_TOL else abs(ss / sr)
     bb2 = math.inf if rr < BB_DENOM_TOL else abs(sr / rr)
     return bb1, bb2
 
 
-def clamp_step(tau: float, tau_min: float, tau_max: float) -> float:
+def clamp_step(tau: float, tau_min: float = 1e-20, tau_max: float = 1e20) -> float:
     """Clamp a trial step into ``[tau_min, tau_max]`` (inf maps to tau_max)."""
     if not (0 < tau_min <= tau_max):
         raise ValueError(f"need 0 < tau_min <= tau_max, got [{tau_min}, {tau_max}]")

@@ -181,7 +181,7 @@ def stopping_check(
     epsilon: float,
     tolx: float,
     tolf: float,
-    window: int,
+    window: int = 5,
     max_iters: int,
 ) -> Termination | None:
     """Evaluate the stopping rules on the latest history row.
@@ -253,17 +253,13 @@ class StiefelSolver:
     epsilon : float
         Gradient-norm stopping tolerance.
     tolx, tolf : float
-        Relative iterate/value change tolerances (see :func:`stopping_check`).
-    window : int
-        Averaging window of the mean-change stopping rule.
+        Relative iterate/value change tolerances, also held by their means
+        over the last 5 iterations against ``10*tolx`` / ``10*tolf`` (see
+        :func:`stopping_check`).
     max_iters : int
         Iteration cap.
-    delta : float
-        Backtracking shrink factor in (0, 1).
     rho1 : float
         Sufficient-decrease coefficient in (0, 1).
-    tau_min, tau_max : float
-        Clamp interval for BB trial steps.
     eta : float
         Averaging weight of the non-monotone reference, in [0, 1).
         ``eta = 0`` is the monotone reference; monotone mode ignores ``eta``.
@@ -272,13 +268,14 @@ class StiefelSolver:
         ``step_init="fixed"``.
     step_init : {"bb", "fixed"}
         Trial-step policy after iteration 0, the same in both modes: the
-        clamped BB step, BB1 and BB2 alternating by iteration parity (even
-        memory index -> BB1), or ``tau0`` again.  The BB pair is
-        ``S = X_k - X_{k-1}`` and ``R = H_k - H_{k-1}``, the change in the
-        search direction, so ``(2*alpha, 2*beta, tau0/2)`` takes the same
-        iterates as ``(alpha, beta, tau0)`` with every ``tau`` halved.
+        BB step clamped to ``[1e-20, 1e20]``, BB1 and BB2 alternating by
+        iteration parity (even memory index -> BB1), or ``tau0`` again.  The
+        BB pair is ``S = X_k - X_{k-1}`` and ``R = H_k - H_{k-1}``, the change
+        in the search direction, so ``(2*alpha, 2*beta, tau0/2)`` takes the
+        same iterates as ``(alpha, beta, tau0)`` with every ``tau`` halved.
     max_halvings : int
-        Backtracking budget per iteration.
+        Backtracking budget per iteration; each backtrack shrinks the step
+        by 0.3.
 
     Examples
     --------
@@ -293,12 +290,8 @@ class StiefelSolver:
     epsilon: float = 1e-4
     tolx: float = 1e-6
     tolf: float = 1e-12
-    window: int = 5
     max_iters: int = 1000
-    delta: float = 0.3
     rho1: float = 1e-4
-    tau_min: float = 1e-20
-    tau_max: float = 1e20
     eta: float = 0.85
     tau0: float = 1e-3
     step_init: str = "bb"
@@ -345,14 +338,8 @@ class StiefelSolver:
         for name in ("epsilon", "tolx", "tolf", "tau0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0 < self.rho1 < 1:
             raise ValueError(f"rho1 must be in (0, 1), got {self.rho1}")
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ValueError(
-                f"need 0 < tau_min <= tau_max, got [{self.tau_min}, {self.tau_max}]"
-            )
         if not 0 <= self.eta < 1:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
@@ -410,7 +397,6 @@ class StiefelSolver:
                 epsilon=self.epsilon,
                 tolx=self.tolx,
                 tolf=self.tolf,
-                window=self.window,
                 max_iters=self.max_iters,
             )
             if outcome is None:
@@ -448,7 +434,7 @@ class StiefelSolver:
             # BB1 and BB2 alternate on the memory index k-1.
             bb1, bb2 = bb_steps(*it.bb_pair)
             raw = bb1 if (it.record.k - 1) % 2 == 0 else bb2
-            tau = clamp_step(raw, self.tau_min, self.tau_max)
+            tau = clamp_step(raw)
 
         it.record.slope = slope = descent_derivative(it.split, self.alpha, self.beta)
         if not slope < 0:
@@ -463,7 +449,6 @@ class StiefelSolver:
             tau,
             it.state.c,
             rho1=self.rho1,
-            delta=self.delta,
             max_halvings=self.max_halvings,
         )
         if not ls.accepted:

@@ -292,13 +292,14 @@ def test_parse_vary_forms():
     # VALUES are typed like the setting's default, instance settings included;
     # a bool reads as in a config file, and an unknown key's values stay text.
     assert _parse_vary("mode=monotone,nonmonotone") == ("mode", ["monotone", "nonmonotone"])
-    assert _parse_vary("window=3,5") == ("window", [3, 5])
+    assert _parse_vary("max_halvings=3,5") == ("max_halvings", [3, 5])
     assert _parse_vary("n=10,20") == ("n", [10, 20])
     assert _parse_vary("known_solution=false,true") == ("known_solution", [False, True])
     assert _parse_vary("family=wopp,eig") == ("family", ["wopp", "eig"])
     assert _parse_vary("bogus=1,2") == ("bogus", ["1", "2"])
     assert _parse_vary("alpha=") == ("alpha", [])
-    for text in ("alpha=x", "window=1.5", "window=1:1:3", "alpha=0:1", "known_solution=False"):
+    for text in ("alpha=x", "max_halvings=1.5", "max_halvings=1:1:3", "alpha=0:1",
+                 "known_solution=False"):
         with pytest.raises(ValueError):  # argparse reports it as an invalid --vary value
             _parse_vary(text)
     with pytest.raises(argparse.ArgumentTypeError, match="step"):
@@ -528,7 +529,7 @@ _BAD_SETTINGS = {
     "alpha-string": ({"alpha": "0.5"}, "alpha must be a real number"),
     "tau0-string": ({"tau0": "1e-2"}, "tau0 must be a real number"),
     "seed-float": ({"seed": 1.5}, "seed must be int"),
-    "window-bool": ({"window": True}, "window must be an int >= 1"),
+    "max_halvings-bool": ({"max_halvings": True}, "max_halvings must be an int >= 1"),
     "top-level-list": ([1, 2], "must be a JSON object"),
     "family-unknown": ({"family": "ridge"}, "family must be one of"),
     "mode-unknown": ({"mode": "fast"}, "mode must be one of"),
@@ -540,7 +541,7 @@ _BAD_SETTINGS = {
     "eig-p-above-n": ({"family": "eig", "n": 5, "p": 6}, "St(n, p) needs 1 <= p <= n"),
     "eig-p-zero": ({"family": "eig", "p": 0}, "St(n, p) needs 1 <= p <= n, got n=50, p=0"),
     "step_init-auto": ({"step_init": "auto"}, "step_init must be one of"),
-    "flags-delta-above-one": (("--delta", "2"), "delta must be in (0, 1), got 2.0"),
+    "flags-rho1-above-one": (("--rho1", "2"), "rho1 must be in (0, 1), got 2.0"),
     "flags-mu-nan": (("--family", "energy", "--mu", "nan"), "mu must be finite"),
     "vary-mu-nan": (("--family", "energy", "--vary", "mu=1,nan"),
                     "mu must be finite and >= 0, got nan"),
@@ -558,6 +559,10 @@ _BAD_SETTINGS = {
     "bb_gradient-removed": ({"bb_gradient": "mixed"}, "unknown config key 'bb_gradient'"),
     "summary-bb_gradient-removed": ({"config": {}, "solver_params": {"bb_gradient": "mixed"}},
                                     "unknown config key 'bb_gradient'"),
+    # The shrink factor, the BB clamp and the mean rule's window are constants.
+    "delta-removed": ({"delta": 0.5}, "unknown config key 'delta'"),
+    "summary-tau_min-removed": ({"config": {}, "solver_params": {"tau_min": 1e-10}},
+                                "unknown config key 'tau_min'"),
     "summary-params-list": ({"config": {}, "solver_params": [1]},
                             "as its config and solver_params"),
     # A grid over the run's own keys or unknown ones, a key on two axes, or
@@ -738,8 +743,7 @@ def test_unreadable_config_is_an_error(tmp_path):
 # A valid value other than the default for every solver parameter.
 _NON_DEFAULT = {
     "alpha": "0.5", "beta": "0.5", "mode": "monotone", "epsilon": "1e-5", "tolx": "1e-7",
-    "tolf": "1e-11", "window": "3", "max_iters": "50", "delta": "0.5", "rho1": "1e-3",
-    "tau_min": "1e-10", "tau_max": "1e3", "eta": "0.5", "tau0": "1e-2",
+    "tolf": "1e-11", "max_iters": "50", "rho1": "1e-3", "eta": "0.5", "tau0": "1e-2",
     "step_init": "fixed", "max_halvings": "30",
 }
 
@@ -755,8 +759,9 @@ def test_every_solver_parameter_has_a_flag(tmp_path, field):
 
 
 def test_solver_flag_outside_its_choices_exits_via_argparse(tmp_path):
-    # So does the flag of a removed setting: the BB residual is no setting.
-    for flag in (("--step-init", "full"), ("--bb-gradient", "mixed")):
+    # So does the flag of a removed setting: the BB residual is no setting, and
+    # the mean rule's window is a constant.
+    for flag in (("--step-init", "full"), ("--bb-gradient", "mixed"), ("--window", "3")):
         with pytest.raises(SystemExit) as exc:
             main(_run_args(tmp_path, *flag))
         assert exc.value.code == 2

@@ -32,14 +32,14 @@ def reference_step(solver, objective, it):
     if k > 0 and solver.step_init == "bb":
         s, r = it.bb_pair
         bb1, bb2 = abs(np.sum(s * s) / np.sum(s * r)), abs(np.sum(s * r) / np.sum(r * r))
-        tau = min(max(bb1 if (k - 1) % 2 == 0 else bb2, solver.tau_min), solver.tau_max)
+        tau = min(max(bb1 if (k - 1) % 2 == 0 else bb2, 1e-20), 1e20)
     for nfe in range(1, solver.max_halvings + 2):
         u, _, vt = np.linalg.svd(x - tau * h, full_matrices=False)
         z = u @ vt
         f_z = objective.value(z)
         if f_z < it.state.c + solver.rho1 * tau * slope:
             break
-        tau *= solver.delta
+        tau *= 0.3
     else:
         raise AssertionError("no trial passed the literal Armijo test")
     eta = 0.0 if solver.mode == "monotone" else solver.eta
