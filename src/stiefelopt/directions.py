@@ -1,18 +1,18 @@
-"""Search directions built from the Euclidean gradient at a feasible point.
+"""The search direction built from the Euclidean gradient at a feasible point.
 
-Given the ambient gradient ``G`` of the objective at ``X``, two tangent
-descent candidates are available:
+Given the ambient gradient ``G`` of the objective at ``X`` and ``M = X^T G``,
+two tangent descent candidates are available:
 
-* ``canonical  = G - X G^T X``      (manifold gradient in the canonical metric)
-* ``complement = (I - X X^T) G``    (component of ``G`` orthogonal to span(X))
+* ``C = G - X G^T X = G - X M^T``   (manifold gradient in the canonical metric)
+* ``P = (I - X X^T) G = G - X M``   (component of ``G`` orthogonal to span(X))
 
 Both can be written through the skew matrix ``A = G X^T - X G^T``
-(``A X = canonical``, ``A (I - X X^T) = -X complement^T``), so at a feasible
-``X``, ``||A||_F^2 = ||canonical||_F^2 + ||complement||_F^2``: the solver's
-slope and norms come from the two ``n x p`` parts and never form the
-``n x n`` matrix ``A``.  Any mix ``H = alpha*canonical + beta*complement``
-with ``alpha > 0``, ``beta >= 0`` is a descent direction whose directional
-derivative along the projected curve is :func:`descent_derivative`.
+(``A X = C``, ``A (I - X X^T) = -X P^T``), so at a feasible ``X``,
+``||A||_F^2 = ||C||_F^2 + ||P||_F^2``.  The solver steps along the mix
+``H = alpha*C + beta*P``, a descent direction for ``alpha > 0``,
+``beta >= 0`` whose directional derivative along the projected curve is
+:func:`descent_derivative`.  It reads only ``H`` and the two norms, so the
+split forms ``H`` alone and never the ``n x n`` matrix ``A``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm
+from .linalg import as_matrix
 from .manifold import StiefelPoint
 
 __all__ = ["GradientSplit", "gradient_split", "descent_derivative"]
@@ -30,77 +30,72 @@ __all__ = ["GradientSplit", "gradient_split", "descent_derivative"]
 
 @dataclass(frozen=True)
 class GradientSplit:
-    """The two tangent components of an ambient gradient.
+    """The mixed direction at a point and the norms of its two parts.
 
     Attributes
     ----------
-    canonical : numpy.ndarray, shape (n, p)
-        ``G - X G^T X``.  Its norm is the first-order stationarity measure
-        reported by the solver; it vanishes exactly when the skew factor
-        ``A = G X^T - X G^T`` does.
-    complement : numpy.ndarray, shape (n, p)
-        ``(I - X X^T) G``, computed as ``G - X (X^T G)`` so no ``n x n``
-        intermediate is formed.  Both parts share the one ``p x p`` product
-        ``X^T G``: ``canonical`` is ``G - X (X^T G)^T``.
+    direction : numpy.ndarray, shape (n, p)
+        ``H = alpha*C + beta*P``, the direction the solver searches along.
     canonical_norm, complement_norm : float
-        Frobenius norms of the two parts, from which the solver's gradient
-        norm, :attr:`skew_norm` and :func:`descent_derivative` are read.
+        ``||C||_F`` and ``||P||_F``.  ``||C||_F`` is the stationarity measure
+        the solver reports; it vanishes exactly when ``A`` does.
     """
 
-    canonical: np.ndarray
-    complement: np.ndarray
+    direction: np.ndarray
     canonical_norm: float
     complement_norm: float
 
     @property
     def skew_norm(self) -> float:
-        """``||A||_F = sqrt(||canonical||_F^2 + ||complement||_F^2)``."""
+        """``||A||_F = sqrt(||C||_F^2 + ||P||_F^2)``."""
         return math.hypot(self.canonical_norm, self.complement_norm)
 
 
-def gradient_split(point: StiefelPoint, grad) -> GradientSplit:
-    """Split the ambient gradient ``G`` at ``point`` into tangent components.
+def gradient_split(
+    point: StiefelPoint, grad, alpha: float = 1.0, beta: float = 0.0
+) -> GradientSplit:
+    """The ``(alpha, beta)`` mix of the tangent parts of ``G`` at ``point``.
 
-    ``grad`` comes from the objective, so this is where it is validated.
-    ``X^T G`` is formed once; its transpose stands for ``G^T X``, so the split
-    costs three ``n p^2`` products.  Each part is its product with ``X``,
-    overwritten by ``G`` minus it, so the only ``n x p`` arrays made are the
-    two parts returned.
+    ``grad`` comes from the objective, so it is validated here; the weights
+    are not (``StiefelSolver.validate_params`` checks them once).  With
+    ``M = X^T G``, ``s = alpha + beta``, ``a = alpha/s`` and ``b = beta/s``,
+    ``H = s Y`` for ``Y = G - X (a M^T + b M)``: two ``n p^2`` products, whose
+    second, overwritten in place, is the only ``n x p`` array made.  At the
+    default mix ``H`` has the bits of ``G - X M^T``.
+
+    The norms follow from ``C - P = X W`` with ``W = M - M^T`` and
+    ``X^T P = 0``: ``||Y||^2 = ||P||^2 + a^2 ||W||^2`` and ``||C||^2 =
+    ||P||^2 + ||W||^2``.  They are read from ``Y``, so no weight is squared.
     """
     g = as_matrix(grad, "grad")
     if g.shape != point.shape:
         raise ValueError(f"shape mismatch: {g.shape} vs {point.shape}")
     x = point.x
-    xtg = x.T @ g  # G^T X is its transpose: three n p^2 products in all
-    # G^T X as a C-ordered p x p copy: at some shapes (St(100, 20) among them)
-    # OpenBLAS sums a transposed operand in another order, so the view would
-    # change the bits of canonical.
-    canonical = x @ xtg.T.copy()
-    np.subtract(g, canonical, out=canonical)
-    complement = x @ xtg
-    np.subtract(g, complement, out=complement)
+    s = alpha + beta
+    a, b = alpha / s, beta / s
+    m = x.T @ g
+    # K = a M^T + b M accumulates into a C-ordered array: at some shapes
+    # (St(100, 20) among them) OpenBLAS sums a transposed operand in another
+    # order, so a product with the view M^T would change the bits of H.
+    k = b * m
+    k += a * m.T
+    h = x @ k
+    np.subtract(g, h, out=h)
+    y = h.ravel()
+    y_sq = y.dot(y)  # the dot product frobenius_norm roots
+    w = (m - m.T).ravel()
+    w_sq = w.dot(w)
+    h *= s
     return GradientSplit(
-        canonical, complement, frobenius_norm(canonical), frobenius_norm(complement)
+        h, math.sqrt(y_sq + b * (2.0 * a + b) * w_sq), math.sqrt(max(y_sq - a * a * w_sq, 0.0))
     )
-
-
-def _mix(split: GradientSplit, alpha: float, beta: float) -> np.ndarray:
-    """The mixed direction ``H = alpha*canonical + beta*complement``.
-
-    Unchecked: ``StiefelSolver.validate_params`` checks the weights once, and
-    admits the sweep setting ``alpha = 0``.  Accumulating in place holds two
-    ``n x p`` temporaries instead of three, with the bits of the formula."""
-    d = alpha * split.canonical
-    d += beta * split.complement
-    return d
 
 
 def descent_derivative(split: GradientSplit, alpha: float, beta: float) -> float:
     """Directional derivative of the objective along the projected curve.
 
-    For ``Z(tau) = proj(X - tau*H)`` with ``H = alpha*canonical +
-    beta*complement``, the derivative at ``tau = 0`` is ``-<G, H>``, which
-    with ``C`` the canonical and ``P`` the complement part expands to::
+    For ``Z(tau) = proj(X - tau*H)`` with ``H = alpha*C + beta*P``, the
+    derivative at ``tau = 0`` is ``-<G, H>``, which expands to::
 
         -(alpha/2) (||C||_F^2 + ||P||_F^2) - beta ||P||_F^2
 

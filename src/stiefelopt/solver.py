@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .directions import GradientSplit, _mix, descent_derivative, gradient_split
+from .directions import GradientSplit, descent_derivative, gradient_split
 from .linalg import frobenius_norm, random_orthonormal
 from .linesearch import (
     NonmonotoneState,
@@ -213,15 +213,14 @@ def stopping_check(
 
 
 class _Iterate(NamedTuple):
-    """The solve's state at ``X_k``: the point, the gradient split and mixed
-    direction there, the acceptance reference, the BB pair ``(S, R)`` (the
-    step into ``X_k`` and the change in direction over it; ``None`` at
-    ``X_0``) and its history row, which holds its value.  Frozen, and a
-    tuple because one is built per iteration."""
+    """The solve's state at ``X_k``: the point, the gradient split there
+    (which holds the mixed direction), the acceptance reference, the BB pair
+    ``(S, R)`` (the step into ``X_k`` and the change in direction over it;
+    ``None`` at ``X_0``) and its history row, which holds its value.  Frozen,
+    and a tuple because one is built per iteration."""
 
     point: StiefelPoint
     split: GradientSplit
-    direction: np.ndarray
     state: NonmonotoneState
     bb_pair: tuple[np.ndarray, np.ndarray] | None
     record: IterationRecord
@@ -444,7 +443,7 @@ class StiefelSolver:
         ls = backtrack(
             objective,
             it.point,
-            it.direction,
+            it.split.direction,
             slope,
             tau,
             it.state.c,
@@ -466,12 +465,11 @@ class StiefelSolver:
 
     def _arrive(self, objective, point, fval, state, prev=None, step=None, **row) -> _Iterate:
         """The iterate at ``point``, valued ``fval``, reached from ``prev`` by
-        ``step`` (``None`` at ``X_0``), with its split, direction, BB pair and
-        history row, whose step fields (``k``, ``tau``, ``relx``, ``relf``,
+        ``step`` (``None`` at ``X_0``), with its split, BB pair and history
+        row, whose step fields (``k``, ``tau``, ``relx``, ``relf``,
         ``fastpath``, ``nfe``) are the keywords ``row``."""
-        split = gradient_split(point, objective.gradient(point.x))
-        direction = _mix(split, self.alpha, self.beta)
-        bb_pair = None if prev is None else (step, direction - prev.direction)
+        split = gradient_split(point, objective.gradient(point.x), self.alpha, self.beta)
+        bb_pair = None if prev is None else (step, split.direction - prev.split.direction)
         record = IterationRecord(fval=fval, nrmg=split.canonical_norm, cval=state.c,
                                  feasibility=point.feasibility, skew_norm=split.skew_norm, **row)
-        return _Iterate(point, split, direction, state, bb_pair, record)
+        return _Iterate(point, split, state, bb_pair, record)

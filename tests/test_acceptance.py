@@ -29,10 +29,9 @@ from stiefelopt import (
     random_orthonormal,
     retract,
 )
-from stiefelopt.directions import _mix
 from stiefelopt.manifold import _inverse_sqrt_series
 
-from helpers import skew_factor
+from helpers import skew_factor, tangent_parts
 
 
 def _announce(num, label, body):
@@ -166,9 +165,10 @@ def test_criterion_02_manifold_property_suite():
         # canonical component, 1000 trials.
         for _ in range(1000):
             point, grad = _random_point_and_gradient(rng, max_dim=12)
-            split = gradient_split(point, grad)
             skew_sq = frobenius_norm(skew_factor(point, grad)) ** 2
-            can_sq = frobenius_norm(split.canonical) ** 2
+            can_sq = frobenius_norm(tangent_parts(point, grad)[0]) ** 2
+            split_sq = gradient_split(point, grad).canonical_norm ** 2
+            assert abs(split_sq - can_sq) <= 1e-13 * frobenius_norm(grad) ** 2
             assert can_sq <= skew_sq + 1e-10
             assert skew_sq <= 2.0 * can_sq + 1e-10
         # Projection optimality against random feasible competitors.
@@ -181,10 +181,8 @@ def test_criterion_02_manifold_property_suite():
         for _ in range(50):
             point, grad = _random_point_and_gradient(rng, max_dim=12)
             grad /= frobenius_norm(grad)
-            split = gradient_split(point, grad)
-            assert is_tangent(point, split.canonical, 1e-10)
-            assert is_tangent(point, split.complement, 1e-10)
-            assert is_tangent(point, _mix(split, 0.5, 0.5), 1e-10)
+            for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+                assert is_tangent(point, gradient_split(point, grad, alpha, beta).direction, 1e-10)
             skew = skew_factor(point, grad)
             assert frobenius_norm(skew + skew.T) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -213,12 +211,12 @@ def test_criterion_03_certified_descent_bound():
                 shape=(n, p),
             )
             grad = objective.gradient(point.x)
-            split = gradient_split(point, grad)
             alpha = float(rng.uniform(0.001, 1.0))
             beta = float(rng.uniform(0.0, 1.0))
+            split = gradient_split(point, grad, alpha, beta)
             dd = descent_derivative(split, alpha, beta)
             assert dd <= -0.5 * alpha * frobenius_norm(skew_factor(point, grad)) ** 2 + 1e-10
-            h = _mix(split, alpha, beta)
+            h = split.direction
             tau = 1e-6
             forward, *_ = retract(point, h, tau)
             backward, *_ = retract(point, -h, tau)
@@ -240,8 +238,7 @@ def test_criterion_04_retraction_series_order():
         ratios = {1: [], 2: []}
         for _ in range(20):
             point, grad = _random_point_and_gradient(rng, max_dim=20)
-            split = gradient_split(point, grad)
-            h = _mix(split, 0.7, 0.3)
+            h = gradient_split(point, grad, 0.7, 0.3).direction
             p = point.p
             tau0 = np.sqrt(0.04 / np.linalg.norm(h.T @ h))  # ||E||_F = 0.04
 

@@ -20,9 +20,7 @@ from stiefelopt import (
     retract,
 )
 
-from stiefelopt.directions import GradientSplit, _mix
-
-from helpers import skew_factor, traced_peak
+from helpers import skew_factor, tangent_parts, traced_peak
 
 
 def _random_case(rng, n=None, p=None):
@@ -41,15 +39,14 @@ def test_split_hand_values():
     # (0,4); A = G X^T - X G^T has entries +-4 off the diagonal.
     point = StiefelPoint(np.array([[1.0], [0.0]]))
     grad = np.array([[3.0], [4.0]])
-    split = gradient_split(point, grad)
-    npt.assert_array_equal(split.canonical, [[0.0], [4.0]])
-    npt.assert_array_equal(split.complement, [[0.0], [4.0]])
     npt.assert_array_equal(skew_factor(point, grad), [[0.0, -4.0], [4.0, 0.0]])
     # ||A||^2 = 32, so the pure-canonical slope is -16; the complement
     # part contributes -(||G||^2 - ||X^T G||^2) = -(25 - 9) = -16 per beta.
-    assert descent_derivative(split, 1.0, 0.0) == pytest.approx(-16.0)
-    assert descent_derivative(split, 1.0, 1.0) == pytest.approx(-32.0)
-    assert descent_derivative(split, 0.5, 0.25) == pytest.approx(-12.0)
+    for (alpha, beta), slope in {(1.0, 0.0): -16.0, (1.0, 1.0): -32.0, (0.5, 0.25): -12.0}.items():
+        split = gradient_split(point, grad, alpha, beta)
+        npt.assert_array_equal(split.direction, [[0.0], [4.0 * (alpha + beta)]])
+        assert split.canonical_norm == split.complement_norm == 4.0
+        assert descent_derivative(split, alpha, beta) == pytest.approx(slope)
 
 
 # -- algebraic structure -------------------------------------------------------------
@@ -63,7 +60,7 @@ def test_skew_factor_is_antisymmetric_and_generates_canonical():
         skew = skew_factor(point, grad)
         scale = max(1.0, frobenius_norm(skew))
         assert frobenius_norm(skew + skew.T) <= 1e-12 * scale
-        npt.assert_allclose(skew @ point.x, split.canonical, atol=1e-12 * scale)
+        npt.assert_allclose(skew @ point.x, split.direction, atol=1e-12 * scale)
 
 
 def test_both_components_and_mixes_are_tangent():
@@ -71,10 +68,8 @@ def test_both_components_and_mixes_are_tangent():
     for _ in range(20):
         point, grad = _random_case(rng)
         grad /= frobenius_norm(grad)
-        split = gradient_split(point, grad)
-        assert is_tangent(point, split.canonical, 1e-10)
-        assert is_tangent(point, split.complement, 1e-10)
-        assert is_tangent(point, _mix(split, 0.6, 0.4), 1e-10)
+        for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.4)):
+            assert is_tangent(point, gradient_split(point, grad, alpha, beta).direction, 1e-10)
 
 
 def test_norm_identity_links_skew_and_canonical():
@@ -85,7 +80,7 @@ def test_norm_identity_links_skew_and_canonical():
         point, grad = _random_case(rng)
         split = gradient_split(point, grad)
         skew_sq = frobenius_norm(skew_factor(point, grad)) ** 2
-        can_sq = frobenius_norm(split.canonical) ** 2
+        can_sq = split.canonical_norm**2
         xtg = point.x.T @ grad
         small_sq = frobenius_norm(xtg - xtg.T) ** 2
         assert skew_sq == pytest.approx(2.0 * can_sq - small_sq, rel=1e-10, abs=1e-12)
@@ -99,78 +94,69 @@ def test_stationarity_skew_vanishes_iff_canonical_does():
     point = StiefelPoint(random_orthonormal(8, 3, rng))
     m = rng.standard_normal((3, 3))
     grad = point.x @ (m + m.T)
-    split = gradient_split(point, grad)
     assert frobenius_norm(skew_factor(point, grad)) <= 1e-13
-    assert frobenius_norm(split.canonical) <= 1e-13
+    assert gradient_split(point, grad).canonical_norm <= 1e-13
     # A non-symmetric M leaves both strictly nonzero.
     grad = point.x @ np.triu(np.ones((3, 3)), k=1)
-    split = gradient_split(point, grad)
     assert frobenius_norm(skew_factor(point, grad)) > 0.1
-    assert frobenius_norm(split.canonical) > 0.1
+    assert gradient_split(point, grad).canonical_norm > 0.1
 
 
 # -- mixed direction -----------------------------------------------------------------
 
 
 @st.composite
-def _mix_cases(draw):
-    """Two parts (C- or F-ordered, some entries signed zeros) and weights
-    that include 0 and -0."""
-    n = draw(st.integers(1, 9))
-    p = draw(st.integers(1, n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    parts = []
-    for _ in range(2):
-        part = rng.standard_normal((n, p))
-        part[rng.random((n, p)) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
-        parts.append(np.asfortranarray(part) if draw(st.booleans()) else part)
-    weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-4.0, 4.0))
-    return parts, draw(weight), draw(weight)
-
-
-@settings(deadline=None, max_examples=200)
-@given(_mix_cases())
-def test_mix_is_bit_equal_to_the_plain_formula(case):
-    (canonical, complement), alpha, beta = case
-    split = GradientSplit(canonical, complement, 0.0, 0.0)  # _mix reads only the parts
-    expected = alpha * canonical + beta * complement
-    assert _mix(split, alpha, beta).tobytes() == expected.tobytes()
-
-
-@st.composite
 def _plain_split_cases(draw):
-    """A point and a gradient (C- or F-ordered), square shapes among them."""
+    """A point, a gradient (C- or F-ordered), square shapes among them, and a mix."""
     n = draw(st.integers(1, 40))
     p = n if draw(st.booleans()) else draw(st.integers(1, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     point = StiefelPoint(random_orthonormal(n, p, rng))
     grad = rng.standard_normal((n, p))
-    return point, np.asfortranarray(grad) if draw(st.booleans()) else grad
+    mix = draw(st.sampled_from([(1.0, 0.0), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0), (2.0, 0.6)]))
+    return point, np.asfortranarray(grad) if draw(st.booleans()) else grad, mix
 
 
 @settings(deadline=None, max_examples=200)
 @given(_plain_split_cases())
-def test_split_parts_match_the_plain_formulas(case):
-    # Both parts come from the one product X^T G; each is checked against its
-    # own two-product formula.
-    point, grad = case
+def test_split_matches_the_literal_formulas(case):
+    # The norms are compared squared: at n = p, where P = 0, ||P|| is the
+    # root of a difference of two rounded squares.  Only the squares enter
+    # the slope and the skew norm.
+    point, grad, (alpha, beta) = case
+    canonical, complement = tangent_parts(point, grad)
+    split = gradient_split(point, grad, alpha, beta)
+    g_norm = max(frobenius_norm(grad), np.finfo(float).tiny)
+    h = alpha * canonical + beta * complement
+    assert frobenius_norm(split.direction - h) <= 1e-13 * g_norm
+    assert abs(split.canonical_norm**2 - frobenius_norm(canonical) ** 2) <= 1e-13 * g_norm**2
+    assert abs(split.complement_norm**2 - frobenius_norm(complement) ** 2) <= 1e-13 * g_norm**2
+
+
+@pytest.mark.parametrize("n, p", [(100, 20), (2000, 10)])
+def test_default_mix_is_bit_equal_to_the_canonical_formula(n, p):
+    # G^T X enters as a C-ordered copy: at St(100, 20) OpenBLAS sums the
+    # transposed view in another order, and the bits of H would change.
+    rng = np.random.default_rng(n)
+    point = StiefelPoint(random_orthonormal(n, p, rng))
+    g = rng.standard_normal((n, p))
     x = point.x
-    split = gradient_split(point, grad)
-    scale = 1e-13 * max(frobenius_norm(grad), np.finfo(float).tiny)
-    assert frobenius_norm(split.canonical - (grad - x @ (grad.T @ x))) <= scale
-    assert frobenius_norm(split.complement - (grad - x @ (x.T @ grad))) <= scale
+    expected = g - x @ (x.T @ g).T.copy()
+    split = gradient_split(point, g)
+    assert split.direction.tobytes() == expected.tobytes()
+    assert split.canonical_norm == frobenius_norm(expected)
 
 
-def test_split_holds_no_third_n_by_p_array():
-    # The two parts returned are the only n x p arrays made: X^T G is p x p
-    # and each part's product with X is overwritten by G minus it.
+def test_split_makes_one_n_by_p_array():
+    # The direction returned is the only n x p array made: X^T G is p x p
+    # and its product with X is overwritten by G minus it, then scaled.
     n, p = 2000, 10
     rng = np.random.default_rng(0)
     point = StiefelPoint(random_orthonormal(n, p, rng))
     grad = rng.standard_normal((n, p))
-    split, peak = traced_peak(lambda: gradient_split(point, grad))
-    assert split.canonical.shape == split.complement.shape == (n, p)
-    assert peak <= 2.5 * 8 * n * p
+    split, peak = traced_peak(lambda: gradient_split(point, grad, 0.5, 0.5))
+    assert split.direction.shape == (n, p)
+    assert peak <= 1.5 * 8 * n * p
 
 
 # -- descent derivative -----------------------------------------------------------------
@@ -180,11 +166,11 @@ def test_descent_derivative_equals_minus_inner_product():
     rng = np.random.default_rng(5)
     for _ in range(30):
         point, grad = _random_case(rng)
-        split = gradient_split(point, grad)
         alpha = float(rng.uniform(0.01, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
-        h = _mix(split, alpha, beta)
-        dd = descent_derivative(split, alpha, beta)
+        canonical, complement = tangent_parts(point, grad)
+        h = alpha * canonical + beta * complement
+        dd = descent_derivative(gradient_split(point, grad, alpha, beta), alpha, beta)
         scale = max(1.0, abs(dd))
         assert dd == pytest.approx(-frobenius_inner(grad, h), abs=1e-10 * scale)
 
@@ -193,10 +179,9 @@ def test_descent_derivative_respects_certified_bound():
     rng = np.random.default_rng(6)
     for _ in range(200):
         point, grad = _random_case(rng)
-        split = gradient_split(point, grad)
         alpha = float(rng.uniform(0.01, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
-        dd = descent_derivative(split, alpha, beta)
+        dd = descent_derivative(gradient_split(point, grad, alpha, beta), alpha, beta)
         bound = -0.5 * alpha * frobenius_norm(skew_factor(point, grad)) ** 2
         assert dd <= bound + 1e-10
 
@@ -215,10 +200,10 @@ def test_descent_derivative_matches_finite_difference_along_curve():
             shape=(n, p),
         )
         grad = objective.gradient(point.x)
-        split = gradient_split(point, grad)
         alpha = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
-        h = _mix(split, alpha, beta)
+        split = gradient_split(point, grad, alpha, beta)
+        h = split.direction
         dd = descent_derivative(split, alpha, beta)
         tau = 1e-6
         forward, *_ = retract(point, h, tau)
@@ -251,8 +236,8 @@ def _split_cases(draw):
 @settings(deadline=None)
 @given(_split_cases())
 def test_skew_norm_matches_the_skew_factor(case):
-    point, grad, _, _ = case
-    split = gradient_split(point, grad)
+    point, grad, alpha, beta = case
+    split = gradient_split(point, grad, alpha, beta)
     assert split.skew_norm == pytest.approx(frobenius_norm(skew_factor(point, grad)), rel=1e-12)
 
 
@@ -261,9 +246,9 @@ def test_skew_norm_matches_the_skew_factor(case):
 def test_descent_derivative_is_never_positive(case):
     # Includes alpha = 0, where only the complement part descends.
     point, grad, alpha, beta = case
-    split = gradient_split(point, grad)
-    dd = descent_derivative(split, alpha, beta)
-    h = alpha * split.canonical + beta * split.complement
+    dd = descent_derivative(gradient_split(point, grad, alpha, beta), alpha, beta)
+    canonical, complement = tangent_parts(point, grad)
+    h = alpha * canonical + beta * complement
     assert dd <= 0.0
     assert dd == pytest.approx(
         -frobenius_inner(grad, h), abs=1e-10 * max(1.0, frobenius_norm(grad) ** 2)

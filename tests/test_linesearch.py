@@ -23,7 +23,6 @@ from stiefelopt import (
     random_orthonormal,
     retract,
 )
-from stiefelopt.directions import _mix
 from stiefelopt.linesearch import CURVE_MAX_COND
 from stiefelopt.solver import PARAM_CHOICES
 
@@ -48,7 +47,9 @@ def _circle_quadratic_case():
     point = StiefelPoint(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
     grad = np.array([[2.0 * point.x[0, 0]], [6.0 * point.x[1, 0]]])
     split = gradient_split(point, grad)
-    direction = _mix(split, 1.0, 0.0)
+    direction = split.direction
+    root2 = math.sqrt(2.0)
+    np.testing.assert_allclose(direction, [[-root2], [root2]], rtol=0, atol=1e-14)
     slope = descent_derivative(split, 1.0, 0.0)
     assert slope == pytest.approx(-4.0, abs=1e-12)
     return objective, point, direction, slope
@@ -271,11 +272,11 @@ def _eig_search(shape, seed, mix, mode):
     problem = _CheckedEig.generate(*shape, seed=seed)
     point = StiefelPoint(random_orthonormal(*shape, seed))
     f_x = problem.value(point.x)
-    split = gradient_split(point, problem.gradient(point.x))
+    split = gradient_split(point, problem.gradient(point.x), *mix)
     c_ref = f_x
     if mode == "nonmonotone":  # the reference after a step down from 0.9 F(X)
         c_ref = nonmonotone_update(NonmonotoneState(q=1.0, c=0.9 * f_x), f_x, 0.85).c
-    return problem, point, _mix(split, *mix), descent_derivative(split, *mix), c_ref
+    return problem, point, split.direction, descent_derivative(split, *mix), c_ref
 
 
 def _fields(result):

@@ -523,8 +523,9 @@ def test_rotation_invariant_families_split_into_equal_components(name, shape, se
     problem = _family(name, n, p, seed)
     point = StiefelPoint(random_orthonormal(n, p, seed))
     grad = problem.gradient(point.x)
-    split = gradient_split(point, grad)
-    assert frobenius_norm(split.canonical - split.complement) <= 1e-13 * frobenius_norm(grad)
+    canonical = gradient_split(point, grad, 1.0, 0.0).direction
+    complement = gradient_split(point, grad, 0.0, 1.0).direction
+    assert frobenius_norm(canonical - complement) <= 1e-13 * frobenius_norm(grad)
 
 
 def test_wopp_split_components_differ():
@@ -532,8 +533,9 @@ def test_wopp_split_components_differ():
     problem = WoppProblem.generate(20, 4, ptype=1, seed=0)
     point = StiefelPoint(random_orthonormal(20, 4, 1))
     grad = problem.gradient(point.x)
-    split = gradient_split(point, grad)
-    assert frobenius_norm(split.canonical - split.complement) > 1e-2 * frobenius_norm(grad)
+    canonical = gradient_split(point, grad, 1.0, 0.0).direction
+    complement = gradient_split(point, grad, 0.0, 1.0).direction
+    assert frobenius_norm(canonical - complement) > 1e-2 * frobenius_norm(grad)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -28,10 +28,11 @@ from stiefelopt import (
     as_generator,
     bb_steps,
     clamp_step,
-    gradient_split,
     random_orthonormal,
     stopping_check,
 )
+
+from helpers import tangent_parts
 
 EXPECTED_DEFAULTS = {
     "alpha": 1.0,
@@ -683,13 +684,16 @@ def test_random_start_is_reproducible_from_seed():
 def _recompute_trials(problem, x0, iterates, solver):
     """Expected BB trial step for each transition, from first principles."""
     xs = [np.asarray(x0)] + iterates
-    points = [StiefelPoint(x) for x in xs]
-    splits = [gradient_split(pt, problem.gradient(pt.x)) for pt in points]
+
+    def direction(point):
+        canonical, complement = tangent_parts(point, problem.gradient(point.x))
+        return solver.alpha * canonical + solver.beta * complement
+
+    directions = [direction(StiefelPoint(x)) for x in xs]
     trials = {}
     for k in range(1, len(xs) - 1):  # step leaving iterate k
         s = xs[k] - xs[k - 1]
-        mix = lambda sp: solver.alpha * sp.canonical + solver.beta * sp.complement
-        bb1, bb2 = bb_steps(s, mix(splits[k]) - mix(splits[k - 1]))
+        bb1, bb2 = bb_steps(s, directions[k] - directions[k - 1])
         raw = bb1 if (k - 1) % 2 == 0 else bb2
         trials[k] = clamp_step(raw)
     return trials
