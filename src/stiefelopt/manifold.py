@@ -95,22 +95,21 @@ class StiefelPoint:
 
     def __init__(self, x):
         arr = np.array(as_matrix(x, "x"))  # private copy, caller keeps theirs
-        self._certify(arr, feasibility_error(arr))  # refuses n < p
-
-    @classmethod
-    def _fresh(cls, arr: np.ndarray, feas: float) -> StiefelPoint:
-        """Certify an array :func:`retract` just formed, unscanned: NaN or inf fails ``feas``."""
-        point = cls.__new__(cls)
-        point._certify(arr, feas)
-        return point
-
-    def _certify(self, arr: np.ndarray, feas: float) -> None:
+        feas = feasibility_error(arr)  # refuses n < p
         if not feas <= FEASIBILITY_TOL:
             msg = f"matrix is not feasible: ||X^T X - I||_F = {feas:.3e} > {FEASIBILITY_TOL:.0e}"
             raise FeasibilityError(msg)
         arr.setflags(write=False)
-        self.x = arr
-        self.feasibility = feas
+        self.x, self.feasibility = arr, feas
+
+    @classmethod
+    def _fresh(cls, arr: np.ndarray, feas: float) -> StiefelPoint:
+        """Wrap an array :func:`retract` just formed and certified, ``feas <=
+        FEASIBILITY_TOL`` (NaN fails that test), without re-scanning it."""
+        point = cls.__new__(cls)
+        arr.setflags(write=False)
+        point.x, point.feasibility = arr, feas
+        return point
 
     @property
     def shape(self) -> tuple[int, int]:

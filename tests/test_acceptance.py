@@ -1,37 +1,35 @@
-"""End-to-end acceptance checks, one numbered criterion per test.
+"""End-to-end acceptance checks on four seeded benchmark batches, one
+numbered criterion per test.
 
 Each test prints a single ``criterion NN PASS/FAIL`` line (run with ``-s`` to
-see them).  Benchmark batches are built once and shared: the feasibility and
-non-monotone-structure criteria audit the same solve histories that the
-family-level criteria grade.
+see them).  The batches (WOPP, eig, energy and ill-conditioned WOPP) are
+built once and shared: criterion 05 audits the feasibility of every logged
+iterate, criterion 09 the averaged reference of every history, and criteria
+06, 07, 08 and 10 grade each family against its known solution, dense
+eigensolver, stationarity residual or iteration cap.
+
+The gradient oracle, the split's algebra and descent derivative, the series
+order of the retraction and ``eta = 0`` against monotone mode are checked
+once each, in the unit and property tests of their modules
+(``test_problems.py``, ``test_directions.py``, ``test_manifold.py`` and
+``test_solver.py``).  Numbers 01-04 stay unused, so the other ids keep theirs.
 """
 
 import functools
 import time
 
 import numpy as np
-import pytest
 
 from stiefelopt import (
-    CallableObjective,
     EigProblem,
     EnergyProblem,
     StiefelPoint,
     StiefelSolver,
     WoppProblem,
     as_generator,
-    descent_derivative,
-    fd_gradient,
-    frobenius_norm,
     gradient_split,
-    is_tangent,
-    project,
     random_orthonormal,
-    retract,
 )
-from stiefelopt.manifold import _inverse_sqrt_series
-
-from helpers import skew_factor, tangent_parts
 
 
 def _announce(num, label, body):
@@ -42,14 +40,6 @@ def _announce(num, label, body):
         raise
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {num:2d} PASS {label}{suffix}")
-
-
-def _random_point_and_gradient(rng, max_dim=20):
-    n = int(rng.integers(3, max_dim + 1))
-    p = int(rng.integers(1, min(n, 8) + 1))
-    point = StiefelPoint(random_orthonormal(n, p, rng))
-    grad = rng.standard_normal((n, p))
-    return point, grad
 
 
 # -- shared benchmark batches (built once, audited by several criteria) ----------
@@ -125,141 +115,6 @@ def _all_benchmark_reports():
 
 
 # -- criteria ----------------------------------------------------------------------
-
-
-def test_criterion_01_gradient_oracle_suite():
-    def body():
-        start = time.perf_counter()
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for family in ("wopp", "energy", "eig"):
-            for _ in range(20):
-                n = int(rng.integers(4, 21))
-                p = int(rng.integers(1, min(n, 20) + 1))
-                if family == "wopp":
-                    problem = WoppProblem.generate(
-                        n, p, ptype=int(rng.integers(1, 4)), rng=rng
-                    )
-                elif family == "energy":
-                    problem = EnergyProblem(n, p, mu=float(rng.uniform(0.0, 4.0)))
-                else:
-                    problem = EigProblem.generate(n, p, rng=rng)
-                x = random_orthonormal(n, p, rng)
-                analytic = problem.gradient(x)
-                numeric = fd_gradient(problem, x, h=1e-6)
-                rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
-                worst = max(worst, rel)
-                assert rel <= 1e-6
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10.0
-        return f"worst rel err {worst:.2e} over 60 instances, {elapsed:.1f}s"
-
-    _announce(1, "analytic gradients vs finite-difference oracle", body)
-
-
-def test_criterion_02_manifold_property_suite():
-    def body():
-        start = time.perf_counter()
-        rng = np.random.default_rng(1)
-        # Norm identity/inequality between the skew factor and the
-        # canonical component, 1000 trials.
-        for _ in range(1000):
-            point, grad = _random_point_and_gradient(rng, max_dim=12)
-            skew_sq = frobenius_norm(skew_factor(point, grad)) ** 2
-            can_sq = frobenius_norm(tangent_parts(point, grad)[0]) ** 2
-            split_sq = gradient_split(point, grad).canonical_norm ** 2
-            assert abs(split_sq - can_sq) <= 1e-13 * frobenius_norm(grad) ** 2
-            assert can_sq <= skew_sq + 1e-10
-            assert skew_sq <= 2.0 * can_sq + 1e-10
-        # Projection optimality against random feasible competitors.
-        y = rng.standard_normal((9, 4))
-        best = np.linalg.norm(y - project(y).x)
-        for _ in range(100):
-            q = random_orthonormal(9, 4, rng)
-            assert best <= np.linalg.norm(y - q) + 1e-12
-        # Tangency of both gradient components and their mix; skewness.
-        for _ in range(50):
-            point, grad = _random_point_and_gradient(rng, max_dim=12)
-            grad /= frobenius_norm(grad)
-            for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
-                assert is_tangent(point, gradient_split(point, grad, alpha, beta).direction, 1e-10)
-            skew = skew_factor(point, grad)
-            assert frobenius_norm(skew + skew.T) <= 1e-12
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10.0
-        return f"1000 norm trials, 100 competitors, {elapsed:.1f}s"
-
-    _announce(2, "manifold algebra property suite", body)
-
-
-def test_criterion_03_certified_descent_bound():
-    def body():
-        rng = np.random.default_rng(2)
-        worst_rel = 0.0
-        for _ in range(200):
-            n = int(rng.integers(4, 13))
-            p = int(rng.integers(1, min(n, 6) + 1))
-            point = StiefelPoint(random_orthonormal(n, p, rng))
-            m = rng.standard_normal((n, n))
-            m = 0.5 * (m + m.T)
-            lin = rng.standard_normal((n, p))
-            objective = CallableObjective(
-                fun=lambda x, m=m, lin=lin: float(
-                    np.sum(x * (m @ x)) + np.sum(lin * x)
-                ),
-                grad=lambda x, m=m, lin=lin: 2.0 * (m @ x) + lin,
-                shape=(n, p),
-            )
-            grad = objective.gradient(point.x)
-            alpha = float(rng.uniform(0.001, 1.0))
-            beta = float(rng.uniform(0.0, 1.0))
-            split = gradient_split(point, grad, alpha, beta)
-            dd = descent_derivative(split, alpha, beta)
-            assert dd <= -0.5 * alpha * frobenius_norm(skew_factor(point, grad)) ** 2 + 1e-10
-            h = split.direction
-            tau = 1e-6
-            forward, *_ = retract(point, h, tau)
-            backward, *_ = retract(point, -h, tau)
-            fd = (objective.value(forward.x) - objective.value(backward.x)) / (2 * tau)
-            assert abs(fd - dd) <= 1e-4 * abs(dd)
-            worst_rel = max(worst_rel, abs(fd - dd) / abs(dd))
-        return f"200 draws, worst FD mismatch {worst_rel:.2e}"
-
-    _announce(3, "closed-form descent derivative bound + FD match", body)
-
-
-def test_criterion_04_retraction_series_order():
-    # The fast path's degree-d candidate step p_d(E), E = step^T step - I,
-    # is off the projection by O(||E||^(d+1)) = O(tau^(2d+2)), so halving
-    # tau divides the gap by 2^(2d+2); and retract's own pick of d returns
-    # the projection to roundoff.
-    def body():
-        rng = np.random.default_rng(3)
-        ratios = {1: [], 2: []}
-        for _ in range(20):
-            point, grad = _random_point_and_gradient(rng, max_dim=20)
-            h = gradient_split(point, grad, 0.7, 0.3).direction
-            p = point.p
-            tau0 = np.sqrt(0.04 / np.linalg.norm(h.T @ h))  # ||E||_F = 0.04
-
-            def gap(tau, degree):
-                step = point.x - tau * h
-                candidate = step @ _inverse_sqrt_series(step.T @ step - np.eye(p), degree)
-                return np.linalg.norm(project(step).x - candidate)
-
-            for degree, seen in ratios.items():
-                ratio = gap(tau0, degree) / gap(0.5 * tau0, degree)
-                expected = 2.0 ** (2 * degree + 2)
-                assert expected / np.sqrt(2) <= ratio <= expected * np.sqrt(2)
-                seen.append(np.log2(ratio))
-            new, fast, *_ = retract(point, h, tau0)
-            assert fast
-            assert np.linalg.norm(new.x - project(point.x - tau0 * h).x) <= 1e-13
-        return ", ".join(
-            f"d={d}: log2 ratios in [{min(r):.2f}, {max(r):.2f}]" for d, r in ratios.items()
-        )
-
-    _announce(4, "series fast path agrees with projection to O(||E||^(d+1))", body)
 
 
 def test_criterion_05_feasibility_of_every_benchmark_iterate():
@@ -347,30 +202,9 @@ def test_criterion_09_nonmonotone_reference_structure():
                 if k > 0:
                     assert row.cval <= report.history[k - 1].cval
             audited += 1
-        # eta = 0 collapses the averaged reference onto the monotone rule:
-        # iterate-by-iterate the two configurations must coincide.
-        rng = as_generator(11)
-        problem = WoppProblem.generate(
-            30, 8, ptype=1, rng=rng, known_solution=True, seed=11
-        )
-        x0 = random_orthonormal(30, 8, rng)
-        iterates = {}
-        for label, solver in {
-            "eta0": StiefelSolver(alpha=0.5, beta=0.5, eta=0.0),
-            "mono": StiefelSolver(alpha=0.5, beta=0.5, mode="monotone", step_init="bb"),
-        }.items():
-            xs = []
-            solver.solve(problem, x0, callback=lambda k, x: xs.append(x.copy()))
-            iterates[label] = xs
-        assert len(iterates["eta0"]) == len(iterates["mono"])
-        worst = max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(iterates["eta0"], iterates["mono"])
-        )
-        assert worst <= 1e-14
-        return f"{audited} reference sequences audited, eta=0 gap {worst:.1e}"
+        return f"{audited} reference sequences audited"
 
-    _announce(9, "averaged reference decreases; eta=0 equals monotone-BB", body)
+    _announce(9, "averaged reference never increases and bounds the running minimum", body)
 
 
 def test_criterion_10_ill_conditioned_robustness():

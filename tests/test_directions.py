@@ -187,9 +187,11 @@ def test_descent_derivative_respects_certified_bound():
 
 
 def test_descent_derivative_matches_finite_difference_along_curve():
+    # Quadratic objectives on St(4..12, p <= 6), alpha down to 0.001.
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        n, p = 10, 3
+    for _ in range(200):
+        n = int(rng.integers(4, 13))
+        p = int(rng.integers(1, min(n, 6) + 1))
         point = StiefelPoint(random_orthonormal(n, p, rng))
         m = rng.standard_normal((n, n))
         m = 0.5 * (m + m.T)
@@ -200,7 +202,7 @@ def test_descent_derivative_matches_finite_difference_along_curve():
             shape=(n, p),
         )
         grad = objective.gradient(point.x)
-        alpha = float(rng.uniform(0.1, 1.0))
+        alpha = float(rng.uniform(0.001, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
         split = gradient_split(point, grad, alpha, beta)
         h = split.direction

@@ -79,6 +79,9 @@ def test_bb_steps_degenerate_denominators():
     bb1, bb2 = bb_steps(s, np.zeros((2, 1)))  # zero residual
     assert bb1 == math.inf and bb2 == math.inf
     assert clamp_step(bb1, 1e-20, 1e20) == 1e20
+    # <S,R> = 1e-31 and ||R||^2 = 1e-38 are below BB_DENOM_TOL but not 0:
+    # a bare == 0 guard would give 1e7 for both.
+    assert bb_steps(1e-12 * s, 1e-19 * s) == (math.inf, math.inf)
 
 
 def test_clamp_step_and_validation():
@@ -185,46 +188,32 @@ def test_backtrack_rejects_exact_ties():
     assert result.tau == pytest.approx(0.3 * tau0, rel=1e-15)
 
 
-def test_backtrack_exhaustion_carries_best_candidate():
-    point = StiefelPoint(np.array([[1.0], [0.0]]))
-    direction = np.array([[0.0], [1.0]])
-    result = backtrack(
-        _ValueOnly(lambda x: 7.5),
-        point,
-        direction,
-        slope=-1.0,
-        tau0=1.0,
-        c_ref=5.0,
-        max_halvings=5,
-    )
-    assert not result.accepted
-    assert result.nfe == 6  # initial trial plus five shrinks
-    assert result.value == 7.5
-    assert result.tau == 1.0  # ties keep the first candidate seen
-
-
 def test_backtrack_exhaustion_returns_the_lowest_value_trial():
     point = StiefelPoint(np.array([[1.0], [0.0]]))
     direction = np.array([[0.0], [1.0]])
-    tau0 = 1.0
-    # (trial values, reference, lowest value): a NaN trial loses to any other.
-    cases = [([9.0, 6.0, 8.0, 7.0], 5.0, 6.0), ([math.nan, 12.0, 13.0, 14.0], 0.0, 12.0)]
-    for trials, c_ref, lowest in cases:
+    # (trial values, reference, lowest value, its step): a NaN trial loses to
+    # any other, and ties keep the first trial seen.
+    cases = [
+        ([9.0, 6.0, 8.0, 7.0], 5.0, 6.0, 0.3),
+        ([math.nan, 12.0, 13.0, 14.0], 0.0, 12.0, 0.3),
+        ([7.5] * 6, 5.0, 7.5, 1.0),
+    ]
+    for trials, c_ref, lowest, tau in cases:
         values = iter(trials)
         result = backtrack(
             _ValueOnly(lambda x: next(values)),
             point,
             direction,
             slope=-1.0,
-            tau0=tau0,
+            tau0=1.0,
             c_ref=c_ref,
-            max_halvings=3,
+            max_halvings=len(trials) - 1,
         )
         assert result.accepted is False
-        assert result.nfe == 4
+        assert result.nfe == len(trials)  # the first trial plus every shrink
         assert result.value == lowest
-        assert result.tau == 0.3 * tau0
-        np.testing.assert_array_equal(result.point.x, retract(point, direction, 0.3 * tau0)[0].x)
+        assert result.tau == tau
+        np.testing.assert_array_equal(result.point.x, retract(point, direction, tau)[0].x)
 
 
 def test_backtrack_validates_arguments():

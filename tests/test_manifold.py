@@ -209,11 +209,12 @@ def test_retract_fast_path_fires_for_tiny_steps():
 def test_retract_series_and_projection_agree_to_its_order():
     # The degree-d series candidate step p_d(E) is off the projection by
     # O(||E||^(d+1)) = O(tau^(2d+2)): halving tau divides the gap by
-    # 2^(2d+2) (log2 ratio within half a unit of 2d + 2).
+    # 2^(2d+2) (log2 ratio within half a unit of 2d + 2).  retract's own
+    # pick of d returns the projection within 1e-13 in norm.
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        n = int(rng.integers(4, 20))
-        p = int(rng.integers(1, min(n, 6) + 1))
+    for _ in range(20):
+        n = int(rng.integers(3, 21))
+        p = int(rng.integers(1, min(n, 8) + 1))
         point = StiefelPoint(random_orthonormal(n, p, rng))
         h = _random_tangent(point, rng)
         # ||E||_F = 0.04 at tau0: at tau0 / 2 the degree-3 gap, about 1e-9,
@@ -231,7 +232,7 @@ def test_retract_series_and_projection_agree_to_its_order():
             assert abs(ratio - (2 * degree + 2)) <= 0.5
         new, fast, *_ = retract(point, h, tau0)
         assert fast
-        npt.assert_allclose(new.x, project(point.x - tau0 * h).x, rtol=0, atol=1e-13)
+        assert np.linalg.norm(new.x - project(point.x - tau0 * h).x) <= 1e-13
 
 
 @pytest.mark.parametrize("degree", range(1, 7))
